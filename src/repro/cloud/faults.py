@@ -27,11 +27,15 @@ Three pieces:
   evictions, lost and re-dispatched work.  Identical seeds produce
   byte-identical reports (``to_json``).
 
-:func:`simulate_faulty_stream` drives the core
-:class:`~repro.core.simulator.Simulator` in O(active sessions) memory and
-reproduces :func:`~repro.core.streaming.simulate_stream`'s event order
-exactly, so a zero-failure run matches the fault-free engine *to the
-float*.  With ``record_induced=True`` it also returns the **induced
+:func:`simulate_faulty_stream` is the event kernel of
+:mod:`repro.core.events` with a failure source on its heap: the kernel
+admits and departs sessions on the core
+:class:`~repro.core.simulator.Simulator` in O(active sessions) memory,
+and recovery schedules re-admissions on the same heap.  At one instant,
+departures run first, then failures, then re-admissions, then stream
+arrivals, so a zero-failure run is
+:func:`~repro.core.streaming.simulate_stream`'s run *to the float*.
+With ``record_induced=True`` it also returns the **induced
 trace** — every served attempt as a plain item whose departure is its
 natural end or its eviction instant — which replayed through
 ``simulate(..., indexed=False)`` must reproduce the faulty run's packing
@@ -41,9 +45,10 @@ bit for bit (the differential-test oracle).
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # runtime import would cycle: resilience wraps this package
@@ -52,13 +57,11 @@ if TYPE_CHECKING:  # runtime import would cycle: resilience wraps this package
 from ..core.numeric import Num
 from ..algorithms.base import PackingAlgorithm
 from ..core.bin import Bin
-from ..core.events import EventOrderError
+from ..core.events import Entry, EventKind, _merge_events
 from ..core.item import Item
-from ..core.resources import oversize_dimension, size_fits
 from ..core.simulator import Simulator
 from ..core.streaming import StreamSummary
 from ..core.telemetry import SimulationObserver
-from ..core.validation import OversizedItemError
 from .dispatcher import ServerType, _BillingMeter
 
 __all__ = [
@@ -209,19 +212,157 @@ class FaultyDispatchReport:
     num_sessions: int
 
 
-@dataclass(slots=True)
-class _Attempt:
-    """One service attempt of a session (original admission or re-dispatch)."""
+class _FaultLedger:
+    """The fault driver's side of the event kernel.
 
-    item_id: str
-    orig_id: str
-    size: Num
-    tag: Any
-    start: Num
-    departure: Num  # scheduled; eviction may end the attempt earlier
-    full_length: Num
-    attempt: int
-    end: Num | None = field(default=None)
+    The kernel admits sessions and departs them; this object keeps the
+    ledger of active attempts through the kernel's hooks, handles each
+    failure instant the kernel yields, and schedules the re-admissions
+    that recovery needs on the kernel's heap.  Every attempt is a plain
+    :class:`~repro.core.item.Item` whose departure is the scheduled end;
+    re-dispatched attempts also carry a lineage entry.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        pending: list[Entry],
+        *,
+        injector: FaultInjector,
+        recovery: str,
+        retry_policy: "RetryPolicy | None",
+        breaker: "CircuitBreaker | None",
+        record_induced: bool,
+    ) -> None:
+        self.sim = sim
+        self.pending = pending
+        self.injector = injector
+        self.recovery = recovery
+        self.retry_policy = retry_policy
+        self.breaker = breaker
+        self.rng = random.Random(injector.seed)
+        self.fail_times = injector.failure_times(self.rng)
+        self.active: dict[str, Item] = {}
+        #: ``(original session id, full duration, attempt number)`` of each
+        #: active re-dispatched attempt; an original session has none.
+        self.lineage: dict[str, tuple[str, Num, int]] = {}
+        self.induced: list[Item] | None = [] if record_induced else None
+        self.evicted_at: dict[str, Num] = {}  # filled only for the induced trace
+        self.waits = itertools.count()  # deferred re-admissions, in push order
+        self.num_failures = 0
+        self.idle_strikes = 0
+        self.evicted_total = 0
+        self.redispatched = 0
+        self.lost_work: Num = 0
+        self.redispatch_work: Num = 0
+        self.revocations: list[tuple[Num, int, int]] = []
+        self.sessions_delayed = 0
+        self.total_retry_delay: Num = 0
+        self.breaker_trips = 0
+        self.next_fail: Num | None = next(self.fail_times, None)
+        if self.next_fail is not None:
+            heapq.heappush(pending, (self.next_fail, EventKind.FAILURE, 0, None))
+
+    def origin(self, attempt: Item) -> tuple[str, Num, int]:
+        """``(original session id, full duration, attempt number)``."""
+        return self.lineage.get(attempt.item_id) or (attempt.item_id, attempt.length, 0)
+
+    def recovery_key(self, attempt: Item) -> str:
+        # String tags group sessions into shared circuits (region
+        # semantics); anything else isolates per original session.
+        return attempt.tag if isinstance(attempt.tag, str) else self.origin(attempt)[0]
+
+    def after_arrival(self, sim: Simulator, item: Item) -> None:
+        self.active[item.item_id] = item
+        if self.induced is not None:
+            self.induced.append(item)
+
+    def after_departure(self, sim: Simulator, item_id: str) -> None:
+        attempt = self.active.pop(item_id)
+        if self.breaker is not None:
+            self.breaker.record_success(self.recovery_key(attempt))
+        self.lineage.pop(item_id, None)
+
+    def strike(self, time: Num) -> None:
+        """Run every failure at ``time``, then schedule the re-dispatches.
+
+        All failures sharing the instant evict before any re-dispatch, so
+        a recovered session is never struck again at its admission time.
+        Every re-dispatch is a re-admission entry on the kernel's heap; an
+        undelayed one is due now, and its negative ``seq`` admits it, in
+        eviction order, ahead of any deferred re-admission due at the same
+        instant.
+        """
+        evicted: list[Item] = []
+        while self.next_fail is not None and self.next_fail == time:
+            open_bins = list(self.sim.open_bins)
+            if open_bins:
+                victim = self.injector.pick_victim(self.rng, open_bins)
+                views = self.sim.fail_bin(victim, time)
+                self.num_failures += 1
+                self.revocations.append((time, victim.index, len(views)))
+                for view in views:
+                    evicted.append(self.active.pop(view.item_id))
+                    if self.induced is not None:
+                        self.evicted_at[view.item_id] = time
+            else:
+                self.idle_strikes += 1
+            self.next_fail = next(self.fail_times, None)
+        self.evicted_total += len(evicted)
+        for position, old in enumerate(evicted, start=-len(evicted)):
+            orig_id, full_length, attempt = self.origin(old)
+            self.lineage.pop(old.item_id, None)
+            if self.recovery == RESTART:
+                self.lost_work = self.lost_work + (time - old.arrival)
+                remaining = full_length
+            else:
+                remaining = old.departure - time
+            self.redispatch_work = self.redispatch_work + remaining
+            self.redispatched += 1
+            key = old.tag if isinstance(old.tag, str) else orig_id
+            admit_at = time
+            if self.retry_policy is not None:
+                admit_at = admit_at + self.retry_policy.delay(attempt + 1, key=key)
+            if self.breaker is not None:
+                if self.breaker.record_failure(key, time):
+                    self.breaker_trips += 1
+                blocked = self.breaker.blocked_until(key, time)
+                if blocked > admit_at:
+                    admit_at = blocked
+            retry = Item(
+                arrival=admit_at,
+                departure=admit_at + remaining,
+                size=old.size,
+                item_id=f"{orig_id}~a{attempt + 1}",
+                tag=old.tag,
+            )
+            self.lineage[retry.item_id] = (orig_id, full_length, attempt + 1)
+            seq = position  # negative: ahead of any deferred re-admission due now
+            if admit_at > time:
+                self.sessions_delayed += 1
+                self.total_retry_delay = self.total_retry_delay + (admit_at - time)
+                seq = next(self.waits)
+            heapq.heappush(self.pending, (admit_at, EventKind.READMISSION, seq, retry))
+        if self.next_fail is not None:
+            heapq.heappush(self.pending, (self.next_fail, EventKind.FAILURE, 0, None))
+
+    def report(self) -> FaultReport:
+        return FaultReport(
+            model=self.injector.model,
+            recovery=self.recovery,
+            seed=self.injector.seed,
+            rate=self.injector.rate,
+            num_failures=self.num_failures,
+            num_idle_strikes=self.idle_strikes,
+            sessions_evicted=self.evicted_total,
+            sessions_redispatched=self.redispatched,
+            lost_work=self.lost_work,
+            redispatch_work=self.redispatch_work,
+            revocations=tuple(self.revocations),
+            sessions_delayed=self.sessions_delayed,
+            total_retry_delay=self.total_retry_delay,
+            breaker_trips=self.breaker_trips,
+        )
 
 
 def simulate_faulty_stream(
@@ -241,13 +382,17 @@ def simulate_faulty_stream(
 ) -> FaultyStreamResult:
     """Stream a trace through an algorithm while servers fail and recover.
 
-    Event order extends the engine's rule: at one instant, departures are
-    processed first, then failures (a session departing exactly when its
-    server dies has already left), then arrivals — recovery re-dispatches
-    before any same-instant stream arrival.  All failures sharing one
-    instant evict before any eviction is re-dispatched, so every attempt
-    has strictly positive length.  With no failures the run is
-    event-for-event identical to
+    The run is the event kernel of :mod:`repro.core.events` with a failure
+    source added, so event order extends the engine's rule: at one
+    instant, departures are processed first, then failures (a session
+    departing exactly when its server dies has already left), then
+    re-admissions, then stream arrivals — recovery re-dispatches before
+    any same-instant stream arrival.  All failures sharing one instant
+    evict before any eviction is re-dispatched, and a re-admission due at
+    a failure instant runs after that instant's failures, so every
+    attempt has strictly positive length.  Failures never keep a run
+    alive: none is generated after the last departure or re-admission.
+    With no failures the run is event-for-event identical to
     :func:`~repro.core.streaming.simulate_stream`.
 
     ``retry_policy`` (a :class:`repro.resilience.RetryPolicy`) defers each
@@ -272,229 +417,32 @@ def simulate_faulty_stream(
         record=False,
         observers=observers,
     )
-    rng = random.Random(injector.seed)
-    fail_times = injector.failure_times(rng)
-    next_fail: Num | None = next(fail_times, None)
-
-    pending: list[tuple[Num, int, str]] = []  # (departure, seq, item_id) — may hold stale ids
-    active: dict[str, _Attempt] = {}
-    delayed: list[tuple[Num, int, _Attempt]] = []  # backoff/breaker re-admissions
-    induced: list[_Attempt] | None = [] if record_induced else None
-    seq = 0
-    last_arrival: Num | None = None
-
-    num_failures = 0
-    idle_strikes = 0
-    evicted_total = 0
-    redispatched = 0
-    lost_work: Num = 0
-    redispatch_work: Num = 0
-    revocations: list[tuple[Num, int, int]] = []
-    sessions_delayed = 0
-    total_retry_delay: Num = 0
-    breaker_trips = 0
-
-    def recovery_key(attempt: _Attempt) -> str:
-        # String tags group sessions into shared circuits (region
-        # semantics); anything else isolates per original session.
-        return attempt.tag if isinstance(attempt.tag, str) else attempt.orig_id
-
-    def admit(attempt: _Attempt) -> None:
-        nonlocal seq
-        sim.arrive(attempt.start, attempt.size, item_id=attempt.item_id, tag=attempt.tag)
-        heapq.heappush(pending, (attempt.departure, seq, attempt.item_id))
-        seq += 1
-        active[attempt.item_id] = attempt
-        if induced is not None:
-            induced.append(attempt)
-
-    def depart_next() -> None:
-        dep_time, _, item_id = heapq.heappop(pending)
-        attempt = active.pop(item_id)
-        sim.depart(item_id, dep_time)
-        attempt.end = dep_time
-        if breaker is not None:
-            breaker.record_success(recovery_key(attempt))
-
-    def admit_delayed_next() -> None:
-        admit_time, _, attempt = heapq.heappop(delayed)
-        assert attempt.start == admit_time
-        admit(attempt)
-
-    def process_failures_at(time: Num) -> None:
-        # All failures at this instant evict before any re-dispatch, so a
-        # recovered session is never struck again at its admission time
-        # (which would create a zero-length attempt).
-        nonlocal next_fail, num_failures, idle_strikes, evicted_total
-        nonlocal redispatched, lost_work, redispatch_work, seq
-        nonlocal sessions_delayed, total_retry_delay, breaker_trips
-        evicted: list[_Attempt] = []
-        while next_fail is not None and next_fail == time:
-            open_bins = list(sim.open_bins)
-            if open_bins:
-                victim = injector.pick_victim(rng, open_bins)
-                views = sim.fail_bin(victim, time)
-                num_failures += 1
-                revocations.append((time, victim.index, len(views)))
-                for view in views:
-                    attempt = active.pop(view.item_id)
-                    attempt.end = time
-                    evicted.append(attempt)
-            else:
-                idle_strikes += 1
-            next_fail = next(fail_times, None)
-        evicted_total += len(evicted)
-        for old in evicted:
-            if recovery == RESTART:
-                lost_work = lost_work + (time - old.start)
-                remaining = old.full_length
-            else:
-                remaining = old.departure - time
-            redispatch_work = redispatch_work + remaining
-            redispatched += 1
-            admit_at = time
-            if retry_policy is not None:
-                admit_at = admit_at + retry_policy.delay(
-                    old.attempt + 1, key=recovery_key(old)
-                )
-            if breaker is not None:
-                if breaker.record_failure(recovery_key(old), time):
-                    breaker_trips += 1
-                blocked = breaker.blocked_until(recovery_key(old), time)
-                if blocked > admit_at:
-                    admit_at = blocked
-            retry = _Attempt(
-                item_id=f"{old.orig_id}~a{old.attempt + 1}",
-                orig_id=old.orig_id,
-                size=old.size,
-                tag=old.tag,
-                start=admit_at,
-                departure=admit_at + remaining,
-                full_length=old.full_length,
-                attempt=old.attempt + 1,
-            )
-            if admit_at > time:
-                sessions_delayed += 1
-                total_retry_delay = total_retry_delay + (admit_at - time)
-                heapq.heappush(delayed, (admit_at, seq, retry))
-                seq += 1
-            else:
-                admit(retry)
-
-    def drain(until: Num) -> None:
-        """Process departures, failures, and due re-admissions <= ``until``.
-
-        Ties run departures first, then failures, then deferred
-        re-admissions — a re-admission landing exactly on a failure
-        instant is placed after that instant's evictions, so it cannot be
-        struck into a zero-length attempt.
-        """
-        while True:
-            while pending and pending[0][2] not in active:
-                heapq.heappop(pending)  # stale: the session was evicted
-            dep_time: Num | None = pending[0][0] if pending else None
-            if dep_time is not None and dep_time > until:
-                dep_time = None
-            fail_time = next_fail if next_fail is not None and next_fail <= until else None
-            adm_time: Num | None = delayed[0][0] if delayed else None
-            if adm_time is not None and adm_time > until:
-                adm_time = None
-            if dep_time is None and fail_time is None and adm_time is None:
-                return
-            if (
-                dep_time is not None
-                and (fail_time is None or dep_time <= fail_time)
-                and (adm_time is None or dep_time <= adm_time)
-            ):
-                depart_next()
-            elif fail_time is not None and (adm_time is None or fail_time <= adm_time):
-                process_failures_at(fail_time)
-            else:
-                admit_delayed_next()
-
-    for item in items:
-        if not size_fits(item.size, capacity):
-            raise OversizedItemError(
-                item.size,
-                capacity,
-                item_id=item.item_id,
-                dimension=oversize_dimension(item.size, capacity),
-            )
-        if last_arrival is not None and item.arrival < last_arrival:
-            raise EventOrderError(
-                f"item {item.item_id!r} arrives at {item.arrival}, before the "
-                f"previous arrival at {last_arrival}; faulty streams require "
-                "non-decreasing arrival times",
-                item_id=item.item_id,
-            )
-        last_arrival = item.arrival
-        drain(item.arrival)
-        admit(
-            _Attempt(
-                item_id=item.item_id,
-                orig_id=item.item_id,
-                size=item.size,
-                tag=item.tag,
-                start=item.arrival,
-                departure=item.departure,
-                full_length=item.length,
-                attempt=0,
-            )
-        )
-
-    # End of stream: serve out the remaining sessions, including any
-    # re-admissions still waiting out their backoff.  Failures past the
-    # last event would strike an empty fleet; they are not generated.
-    while active or delayed:
-        while pending and pending[0][2] not in active:
-            heapq.heappop(pending)
-        dep_time = pending[0][0] if pending else None
-        adm_time = delayed[0][0] if delayed else None
-        if dep_time is not None and (adm_time is None or dep_time <= adm_time):
-            next_event = dep_time
-        else:
-            next_event = adm_time
-        assert next_event is not None  # active ⇒ a departure, delayed ⇒ an admission
-        if next_fail is not None and next_fail < next_event:
-            process_failures_at(next_fail)
-        elif next_event == dep_time and dep_time is not None:
-            depart_next()
-        else:
-            admit_delayed_next()
-
-    summary = sim.finish_summary()
-    report = FaultReport(
-        model=injector.model,
+    pending: list[Entry] = []
+    ledger = _FaultLedger(
+        sim,
+        pending,
+        injector=injector,
         recovery=recovery,
-        seed=injector.seed,
-        rate=injector.rate,
-        num_failures=num_failures,
-        num_idle_strikes=idle_strikes,
-        sessions_evicted=evicted_total,
-        sessions_redispatched=redispatched,
-        lost_work=lost_work,
-        redispatch_work=redispatch_work,
-        revocations=tuple(revocations),
-        sessions_delayed=sessions_delayed,
-        total_retry_delay=total_retry_delay,
-        breaker_trips=breaker_trips,
+        retry_policy=retry_policy,
+        breaker=breaker,
+        record_induced=record_induced,
     )
+    # With a simulator to drive, the kernel yields only the failures.
+    for time, _, _, _ in _merge_events(
+        items, pending=pending, sim=sim, hooks=ledger, capacity=capacity
+    ):
+        ledger.strike(time)
+
     induced_items: tuple[Item, ...] | None = None
-    if induced is not None:
-        finished: list[Item] = []
-        for a in induced:
-            assert a.end is not None  # while-active loop drained every attempt
-            finished.append(
-                Item(
-                    arrival=a.start,
-                    departure=a.end,
-                    size=a.size,
-                    item_id=a.item_id,
-                    tag=a.tag,
-                )
-            )
-        induced_items = tuple(finished)
-    return FaultyStreamResult(summary=summary, report=report, induced_items=induced_items)
+    if ledger.induced is not None:
+        ends = ledger.evicted_at
+        induced_items = tuple(
+            it.with_departure(ends[it.item_id]) if it.item_id in ends else it
+            for it in ledger.induced
+        )
+    return FaultyStreamResult(
+        summary=sim.finish_summary(), report=ledger.report(), induced_items=induced_items
+    )
 
 
 def dispatch_faulty_stream(

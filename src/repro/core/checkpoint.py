@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .numeric import Num
 from .bin import Bin
+from .events import Entry, EventKind
 from .resources import Resources, Size
 from .simulator import Simulator, _ActiveItem
 from .telemetry import SimulationObserver
@@ -44,9 +45,6 @@ from .validation import CheckpointFormatError, CheckpointSchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..algorithms.base import PackingAlgorithm
-
-#: One ``(departure, seq, item_id)`` entry of the streaming departure heap.
-PendingEntry = tuple[Num, int, str]
 
 __all__ = [
     "CheckpointError",
@@ -118,7 +116,7 @@ class StreamCheckpoint:
     def capture(
         cls,
         sim: Simulator,
-        pending: Sequence[PendingEntry],
+        pending: Sequence[Entry],
         items_consumed: int,
         events_processed: int,
         last_arrival: Num | None,
@@ -126,14 +124,14 @@ class StreamCheckpoint:
     ) -> "StreamCheckpoint":
         """Snapshot a live streaming simulator at an event boundary.
 
-        ``pending`` is the streaming driver's departure heap of
-        ``(departure, seq, item_id)`` entries for every active item.
+        ``pending`` is the event kernel's heap of ``(departure, DEPARTURE,
+        seq, item_id)`` entries, one for every active item.
         """
         if sim._record:
             raise CheckpointError(
                 "checkpoints cover streaming (record=False) simulations only"
             )
-        departure_of = {item_id: (dep, seq) for dep, seq, item_id in pending}
+        departure_of = {item_id: (dep, seq) for dep, _, seq, item_id in pending}
         active: list[dict[str, Any]] = []
         for item_id, record in sim._active.items():
             dep, seq = departure_of[item_id]
@@ -188,8 +186,8 @@ class StreamCheckpoint:
         strict: bool = True,
         indexed: bool = True,
         observers: Sequence[SimulationObserver] = (),
-    ) -> tuple[Simulator, list[PendingEntry]]:
-        """Reconstruct the simulator and the pending-departure heap.
+    ) -> tuple[Simulator, list[Entry]]:
+        """Reconstruct the simulator and the event kernel's departure heap.
 
         ``algorithm`` must be a fresh instance of the checkpointed
         algorithm (matched by registry name); ``observers`` must be fresh
@@ -231,7 +229,7 @@ class StreamCheckpoint:
             )
             for state in self.bins
         }
-        pending: list[PendingEntry] = []
+        pending: list[Entry] = []
         for entry in self.active:
             target = bins_by_index[entry["bin"]]
             view = Arrival(
@@ -242,7 +240,9 @@ class StreamCheckpoint:
             )
             target.add(view, entry["arrival"])
             sim._active[entry["item_id"]] = _ActiveItem(view=view, bin=target)
-            pending.append((entry["departure"], entry["seq"], entry["item_id"]))
+            pending.append(
+                (entry["departure"], EventKind.DEPARTURE.value, entry["seq"], entry["item_id"])
+            )
         heapq.heapify(pending)
         for state in self.bins:  # opening order: index insertion order matters
             target = bins_by_index[state["index"]]

@@ -17,21 +17,19 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
+from .events import check_fits
 from .numeric import NUM_TYPES, Num
 from .resources import (
     Resources,
     Size,
     dims_of,
     is_valid_size,
-    oversize_dimension,
-    size_fits,
 )
 from .validation import (
     DuplicateItemIdError,
     InvalidIntervalError,
     InvalidItemSizeError,
     InvalidItemTypeError,
-    OversizedItemError,
     ResourceDimensionError,
     TraceValidationError,
 )
@@ -158,7 +156,9 @@ def validate_items(
     Checks for duplicate ids, uniform size dimensionality (all scalar or
     all ``d``-dimensional) and, when ``capacity`` is given, that every
     single item fits in a bin on its own — per dimension for vector sizes
-    (a necessary feasibility condition for any packing).
+    (a necessary feasibility condition for any packing) — through
+    :func:`~repro.core.events.check_fits`, the check the event kernel
+    applies to streamed items.
     """
     out = list(items)
     seen: set[str] = set()
@@ -177,17 +177,5 @@ def validate_items(
                 trace_dims, item_dims, item_id=item.item_id
             )
         if capacity is not None:
-            try:
-                fits = size_fits(item.size, capacity)
-            except TypeError:
-                raise ResourceDimensionError(
-                    dims_of(capacity), item_dims, item_id=item.item_id
-                ) from None
-            if not fits:
-                raise OversizedItemError(
-                    item.size,
-                    capacity,
-                    item_id=item.item_id,
-                    dimension=oversize_dimension(item.size, capacity),
-                )
+            check_fits(item, capacity)
     return out

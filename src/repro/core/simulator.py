@@ -3,9 +3,11 @@
 Two driving styles share one engine:
 
 * :func:`simulate` replays a complete item list (a trace) against an
-  algorithm — the common case for workloads and experiments.  Generator
-  inputs with sorted arrivals are streamed through the lazy event merge
-  (:func:`repro.core.events.iter_events`) without materializing the trace.
+  algorithm — the common case for workloads and experiments.  It is the
+  event kernel of :mod:`repro.core.events` in record mode: a list is
+  validated and stable-sorted by arrival (each item keeping its trace
+  position as its departure tiebreak), and a generator with sorted
+  arrivals is pulled lazily, without materializing the trace.
 * :class:`Simulator` is the incremental engine itself, which *adaptive
   adversaries* drive step by step: they submit arrivals, observe the
   resulting bin states, and only then decide departure times.  The paper's
@@ -13,8 +15,9 @@ Two driving styles share one engine:
   sense.
 
 The engine is exact: bin costs are accumulated per usage period with no time
-discretisation, simultaneous events are ordered departures-first (see
-:mod:`repro.core.events`), and online-ness is enforced structurally — the
+discretisation, simultaneous events follow the kernel's one order —
+departures, then server failures, then re-admissions, then arrivals (see
+:mod:`repro.core.events`) — and online-ness is enforced structurally — the
 algorithm only ever sees :class:`~repro.algorithms.base.Arrival` views,
 which carry no departure time.
 
@@ -29,6 +32,7 @@ path transparently fall back to the classic list scan over an immutable
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator as _Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence, cast
@@ -37,7 +41,7 @@ from .numeric import Num
 from ..algorithms.base import OPEN_NEW, Arrival, PackingAlgorithm
 from .bin import Bin
 from .bin_index import OpenBinIndex, OpenBinView
-from .events import EventKind, _merge_events, iter_events
+from .events import _by_arrival, _merge_events
 from .item import Item, validate_items
 from .resources import (
     Resources,
@@ -45,13 +49,11 @@ from .resources import (
     dims_of,
     is_valid_capacity,
     is_valid_size,
-    oversize_dimension,
     size_fits,
 )
 from .result import BinRecord, PackingResult
 from .validation import (
     InvalidItemSizeError,
-    OversizedItemError,
     ResourceDimensionError,
 )
 
@@ -568,8 +570,9 @@ def simulate(
 ) -> PackingResult:
     """Replay a complete item list against an online packing algorithm.
 
-    Events are ordered by time with departures before arrivals at equal
-    times, and arrivals in trace order (see :mod:`repro.core.events`).
+    Events are ordered by the event kernel: by time, with departures
+    before arrivals at equal times and arrivals in trace order (see
+    :mod:`repro.core.events`).
 
     Sequence inputs (lists, tuples, :class:`~repro.workloads.trace.Trace`)
     may be in any order; they are validated up front and merged lazily, so
@@ -615,14 +618,7 @@ def simulate(
     2
     """
     cap_limit = capacity if max_bin_capacity is None else max_bin_capacity
-    if isinstance(items, _Iterator):
-        events = iter_events(_validated_stream(items, cap_limit))
-    else:
-        trace = validate_items(items, capacity=cap_limit)
-        # Stable sort by arrival keeping trace positions as tiebreakers:
-        # the lazy merge then reproduces compile_events() exactly without
-        # building the event list.
-        events = _merge_events(sorted(enumerate(trace), key=lambda p: p[1].arrival))
+    trace = None if isinstance(items, _Iterator) else validate_items(items, capacity=cap_limit)
     sim = Simulator(
         algorithm,
         capacity=capacity,
@@ -633,44 +629,15 @@ def simulate(
     )
     if repacker is not None:
         repacker.reset()
-    for event in events:
-        if event.kind is EventKind.ARRIVAL:
-            sim.arrive(
-                event.item.arrival,
-                event.item.size,
-                item_id=event.item.item_id,
-                tag=event.item.tag,
-            )
-            if repacker is not None:
-                repacker.after_arrival(sim, event.item)
-        else:
-            sim.depart(event.item.item_id, event.item.departure)
-            if repacker is not None:
-                repacker.after_departure(sim, event.item.item_id)
+    if trace is None:
+        # Streamed: the kernel checks each item as it pulls it.
+        kernel = _merge_events(items, sim=sim, hooks=repacker, capacity=cap_limit)
+    else:
+        kernel = _merge_events(*_by_arrival(trace), sim=sim, hooks=repacker)
+    # Run the kernel to the end: it applies every event to ``sim`` itself
+    # and yields only server failures, which this run has none of.
+    deque(kernel, maxlen=0)
     result = sim.finish()
     if check:
         result.check_invariants()
     return result
-
-
-def _validated_stream(
-    items: Iterable[Item], capacity: Size | None
-) -> Iterable[Item]:
-    """Per-item validation for streamed traces (duplicate ids are caught by
-    the simulator against active/assigned items)."""
-    for item in items:
-        if capacity is not None:
-            try:
-                fits = size_fits(item.size, capacity)
-            except TypeError:
-                raise ResourceDimensionError(
-                    dims_of(capacity), item.dims, item_id=item.item_id
-                ) from None
-            if not fits:
-                raise OversizedItemError(
-                    item.size,
-                    capacity,
-                    item_id=item.item_id,
-                    dimension=oversize_dimension(item.size, capacity),
-                )
-        yield item

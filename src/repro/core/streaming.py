@@ -6,10 +6,17 @@ the complete assignment map, every bin's placement log — so its memory
 grows with the trace.  Million-request VM traces (the DVBP evaluation
 workloads) only need the *aggregates*: total rental cost, bins opened,
 peak concurrency.  :func:`simulate_stream` drives the same engine with
-``record=False``, consuming items lazily through the heap-merge event
-stream (:func:`repro.core.events.iter_events`), and returns a compact
+``record=False`` through the one event kernel of :mod:`repro.core.events`
+(departures, then failures, then re-admissions, then arrivals at each
+instant), pulling items lazily, and returns a compact
 :class:`StreamSummary`.  Peak memory is proportional to the number of
 simultaneously active items, never the trace length.
+
+Plain, checkpointed and resumed runs are the same kernel configured
+differently: checkpointing asks the kernel to ship a
+:class:`~repro.core.checkpoint.StreamCheckpoint` every ``N`` events, and
+resuming restores the engine and the kernel's merge state (pending
+departures, items consumed, events processed, last arrival) from one.
 
 The input iterable must yield items in non-decreasing arrival order (any
 generator produced by a chronological source does); an out-of-order item
@@ -18,21 +25,20 @@ raises :class:`~repro.core.events.EventOrderError`.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 
 from .numeric import Num
 from ..algorithms.base import PackingAlgorithm
-from .events import EventKind, EventOrderError, iter_events
+from .checkpoint import CheckpointError, StreamCheckpoint
+from .events import Entry, _merge_events
 from .item import Item
-from .resources import Size, dims_of, oversize_dimension, size_fits
+from .resources import Size
 from .simulator import Simulator
-from .validation import OversizedItemError, ResourceDimensionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .checkpoint import StreamCheckpoint
     from .telemetry import SimulationObserver
 
 __all__ = ["StreamRepacker", "StreamSummary", "simulate_stream"]
@@ -160,81 +166,28 @@ def simulate_stream(
     >>> summary.num_bins_used, float(summary.total_cost)
     (2, 12.0)
     """
-    if checkpoint_every is not None or on_checkpoint is not None or resume_from is not None:
-        return _simulate_stream_checkpointed(
-            items,
+    if (checkpoint_every is None) != (on_checkpoint is None):
+        raise ValueError("checkpoint_every and on_checkpoint must be given together")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+
+    source = iter(items)
+    last_arrival: Num | None = None
+    if resume_from is None:
+        sim = Simulator(
             algorithm,
             capacity=capacity,
             cost_rate=cost_rate,
             strict=strict,
             indexed=indexed,
+            record=False,
             observers=observers,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-            resume_from=resume_from,
-            repacker=repacker,
         )
-    sim = Simulator(
-        algorithm,
-        capacity=capacity,
-        cost_rate=cost_rate,
-        strict=strict,
-        indexed=indexed,
-        record=False,
-        observers=observers,
-    )
-    if repacker is not None:
-        repacker.reset()
-    for event in iter_events(_validated(items, capacity)):
-        if event.kind is EventKind.ARRIVAL:
-            sim.arrive(
-                event.item.arrival,
-                event.item.size,
-                item_id=event.item.item_id,
-                tag=event.item.tag,
-            )
-            if repacker is not None:
-                repacker.after_arrival(sim, event.item)
-        else:
-            sim.depart(event.item.item_id, event.item.departure)
-            if repacker is not None:
-                repacker.after_departure(sim, event.item.item_id)
-    return sim.finish_summary()
-
-
-def _simulate_stream_checkpointed(
-    items: Iterable[Item],
-    algorithm: PackingAlgorithm,
-    *,
-    capacity: Size,
-    cost_rate: Num,
-    strict: bool,
-    indexed: bool,
-    observers: Sequence["SimulationObserver"],
-    checkpoint_every: int | None,
-    on_checkpoint: "Callable[[StreamCheckpoint], None] | None",
-    resume_from: "StreamCheckpoint | None",
-    repacker: StreamRepacker | None,
-) -> StreamSummary:
-    """The checkpoint-aware streaming driver.
-
-    Replicates :func:`repro.core.events.iter_events`' merge order exactly
-    (departures before arrivals at equal times, both heap-ordered by
-    ``(time, source position)``) while tracking the consumed-item count and
-    the pending-departure heap — the two pieces of merge state a
-    :class:`~repro.core.checkpoint.StreamCheckpoint` needs beyond the
-    engine itself.
-    """
-    from .checkpoint import CheckpointError, StreamCheckpoint
-
-    if (checkpoint_every is None) != (on_checkpoint is None):
-        raise ValueError(
-            "checkpoint_every and on_checkpoint must be given together"
-        )
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-
-    if resume_from is not None:
+        pending: list[Entry] = []
+        consumed = events = 0
+        if repacker is not None:
+            repacker.reset()
+    else:
         sim, pending = resume_from.restore(
             algorithm, strict=strict, indexed=indexed, observers=observers
         )
@@ -248,100 +201,34 @@ def _simulate_stream_checkpointed(
                 "checkpoint was taken in migration-bounded mode; pass the "
                 "same repacker configuration to resume"
             )
-    else:
-        sim = Simulator(
-            algorithm,
-            capacity=capacity,
-            cost_rate=cost_rate,
-            strict=strict,
-            indexed=indexed,
-            record=False,
-            observers=observers,
-        )
-        pending = []
-        consumed = 0
-        events = 0
-        last_arrival = None
-        if repacker is not None:
-            repacker.reset()
-
-    source = iter(items)
-    _missing = object()
-    for _ in range(consumed):
-        if next(source, _missing) is _missing:
-            raise CheckpointError(
-                f"source stream ended before the checkpoint position "
-                f"({consumed} items); resume needs the same stream"
-            )
-
-    def ship_checkpoint() -> None:
-        if checkpoint_every is not None and events % checkpoint_every == 0:
-            assert on_checkpoint is not None  # validated above: given together
-            on_checkpoint(
-                StreamCheckpoint.capture(
-                    sim,
-                    pending,
-                    consumed,
-                    events,
-                    last_arrival,
-                    repacker_state=(
-                        None if repacker is None else repacker.checkpoint_state()
-                    ),
+        _missing = object()
+        for _ in range(consumed):
+            if next(source, _missing) is _missing:
+                raise CheckpointError(
+                    f"source stream ended before the checkpoint position "
+                    f"({consumed} items); resume needs the same stream"
                 )
-            )
 
-    for item in source:
-        _check_fits(item, capacity)
-        if last_arrival is not None and item.arrival < last_arrival:
-            raise EventOrderError(
-                f"item {item.item_id!r} arrives at {item.arrival}, before the "
-                f"previous arrival at {last_arrival}; streamed items must have "
-                "non-decreasing arrival times",
-                item_id=item.item_id,
-            )
-        last_arrival = item.arrival
-        while pending and pending[0][0] <= item.arrival:
-            dep_time, _, dep_id = heapq.heappop(pending)
-            sim.depart(dep_id, dep_time)
-            if repacker is not None:
-                repacker.after_departure(sim, dep_id)
-            events += 1
-            ship_checkpoint()
-        seq = consumed  # the item's 0-based source position
-        consumed += 1
-        sim.arrive(item.arrival, item.size, item_id=item.item_id, tag=item.tag)
-        if repacker is not None:
-            repacker.after_arrival(sim, item)
-        heapq.heappush(pending, (item.departure, seq, item.item_id))
-        events += 1
-        ship_checkpoint()
-    while pending:
-        dep_time, _, dep_id = heapq.heappop(pending)
-        sim.depart(dep_id, dep_time)
-        if repacker is not None:
-            repacker.after_departure(sim, dep_id)
-        events += 1
-        ship_checkpoint()
-    return sim.finish_summary()
-
-
-def _check_fits(item: Item, capacity: Size) -> None:
-    try:
-        fits = size_fits(item.size, capacity)
-    except TypeError:
-        raise ResourceDimensionError(
-            dims_of(capacity), item.dims, item_id=item.item_id
-        ) from None
-    if not fits:
-        raise OversizedItemError(
-            item.size,
-            capacity,
-            item_id=item.item_id,
-            dimension=oversize_dimension(item.size, capacity),
+    def ship(heap: list[Entry], n_items: int, n_events: int, last: Num | None) -> None:
+        assert on_checkpoint is not None  # validated above: given together
+        state = None if repacker is None else repacker.checkpoint_state()
+        on_checkpoint(
+            StreamCheckpoint.capture(sim, heap, n_items, n_events, last, repacker_state=state)
         )
 
-
-def _validated(items: Iterable[Item], capacity: Size) -> Iterable[Item]:
-    for item in items:
-        _check_fits(item, capacity)
-        yield item
+    # Run the kernel to the end: it applies every event to ``sim`` itself
+    # and yields only server failures, which this run has none of.
+    kernel = _merge_events(
+        source,
+        pending=pending,
+        sim=sim,
+        hooks=repacker,
+        capacity=capacity,
+        consumed=consumed,
+        events=events,
+        last_arrival=last_arrival,
+        checkpoint_every=checkpoint_every,
+        ship=ship,
+    )
+    deque(kernel, maxlen=0)
+    return sim.finish_summary()

@@ -1,9 +1,12 @@
 """Differential tests for the scale-out engine refactor.
 
-Two independently implemented paths must agree exactly:
+Independently configured paths must agree exactly:
 
 * the lazy heap-merge event stream (:func:`iter_events`) vs the
-  materializing global sort (:func:`compile_events`), and
+  materializing global sort (:func:`compile_events`);
+* every driver of the event kernel — ``simulate``, ``simulate_stream``
+  plain, checkpointed and resumed, and the zero-failure fault driver — vs
+  :func:`compile_events`' order, as seen by an observer; and
 * the O(log n) indexed fit paths vs the seed list scan, for every bundled
   algorithm, compared as whole :class:`PackingResult` values.
 
@@ -11,17 +14,23 @@ Traces are seeded and use integer-grid times so same-instant collisions
 (departures tied with arrivals, simultaneous arrivals) occur constantly.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro import BestFit, FirstFit, Item, ModifiedFirstFit, NextFit, simulate
 from repro.algorithms import ModifiedBestFit
+from repro.cloud import FaultInjector, simulate_faulty_stream
 from repro.core.events import (
     EventKind,
     EventOrderError,
     compile_events,
     iter_events,
 )
+from repro.core.resources import Resources
+from repro.core.streaming import simulate_stream
+from repro.core.telemetry import SimulationObserver
 
 SEEDS = [0, 1, 2, 7]
 
@@ -101,6 +110,104 @@ class TestEventStreamDifferential:
         events = iter_events(source())
         first = next(events)
         assert first.item.item_id == "a" and not source.pulled
+
+
+class _EventLog(SimulationObserver):
+    """Records ``(time, kind, item_id)`` for every arrival and departure."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_arrival(self, time, item, bin, opened):
+        self.events.append((time, EventKind.ARRIVAL, item.item_id))
+
+    def on_departure(self, time, item_id, bin, closed):
+        self.events.append((time, EventKind.DEPARTURE, item_id))
+
+
+def _traces():
+    """Tie-heavy traces: float sizes, exact ``Fraction`` times and sizes, 2-D."""
+    for seed in (0, 5):
+        items = tied_trace(seed, n=80)
+        yield f"float-{seed}", items, 1
+        yield f"fraction-{seed}", [
+            Item(
+                arrival=Fraction(it.arrival, 3),
+                departure=Fraction(it.departure, 3),
+                size=Fraction(int(it.size * 8), 8),
+                item_id=it.item_id,
+            )
+            for it in items
+        ], 1
+        yield f"2d-{seed}", [
+            Item(
+                arrival=it.arrival,
+                departure=it.departure,
+                size=Resources(it.size, 1 - it.size / 2),
+                item_id=it.item_id,
+            )
+            for it in items
+        ], Resources(1.0, 1.0)
+
+
+TRACES = {name: (items, capacity) for name, items, capacity in _traces()}
+
+
+class TestKernelEventOrder:
+    """Every driver of the event kernel replays compile_events' order."""
+
+    @staticmethod
+    def expected(items):
+        return [(e.time, e.kind, e.item.item_id) for e in compile_events(items)]
+
+    @staticmethod
+    def observed(run, items, capacity, **kw):
+        log = _EventLog()
+        run(items, FirstFit(), capacity=capacity, observers=(log,), **kw)
+        return log.events
+
+    @pytest.mark.parametrize("trace", TRACES)
+    def test_simulate(self, trace):
+        items, capacity = TRACES[trace]
+        expected = self.expected(items)
+        assert self.observed(simulate, items, capacity) == expected
+        assert self.observed(simulate, iter(items), capacity) == expected
+        # An unsorted list keeps each item's trace position as tiebreak.
+        shuffled = items[::-1]
+        assert self.observed(simulate, shuffled, capacity) == self.expected(shuffled)
+
+    @pytest.mark.parametrize("trace", TRACES)
+    def test_simulate_stream(self, trace):
+        items, capacity = TRACES[trace]
+        assert self.observed(simulate_stream, iter(items), capacity) == self.expected(items)
+
+    @pytest.mark.parametrize("trace", TRACES)
+    def test_checkpointed_and_resumed_streams(self, trace):
+        items, capacity = TRACES[trace]
+        expected = self.expected(items)
+        checkpoints = []
+        observed = self.observed(
+            simulate_stream,
+            iter(items),
+            capacity,
+            checkpoint_every=1,
+            on_checkpoint=checkpoints.append,
+        )
+        assert observed == expected
+        assert len(checkpoints) == len(expected)
+        for checkpoint in checkpoints[::7]:
+            resumed = self.observed(
+                simulate_stream, iter(items), capacity, resume_from=checkpoint
+            )
+            assert resumed == expected[checkpoint.events_processed :]
+
+    @pytest.mark.parametrize("trace", TRACES)
+    def test_zero_failure_fault_driver(self, trace):
+        items, capacity = TRACES[trace]
+        observed = self.observed(
+            simulate_faulty_stream, iter(items), capacity, injector=FaultInjector()
+        )
+        assert observed == self.expected(items)
 
 
 ALGORITHMS = [

@@ -17,7 +17,7 @@ import math
 
 import pytest
 
-from repro import BestFit, FirstFit, Simulator, TelemetryCollector, make_items, simulate
+from repro import BestFit, FirstFit, Item, Simulator, TelemetryCollector, make_items, simulate
 from repro.cloud import (
     CRASH,
     RECONNECT,
@@ -31,6 +31,7 @@ from repro.cloud import (
 from repro.core.simulator import SimulationError
 from repro.core.streaming import simulate_stream
 from repro.core.telemetry import SimulationObserver
+from repro.resilience import RetryPolicy
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
 
 
@@ -244,6 +245,37 @@ class TestRecoveryPolicies:
         assert res.report.num_failures == 0
         assert res.report.num_idle_strikes == 0  # generated only while active
         assert float(res.summary.total_bin_time) == 1.0
+
+
+class TestSameInstantOrder:
+    """A re-admission due at a failure instant runs after that failure.
+
+    Session ``s`` is evicted at 5 and backs off to 6, when the second
+    failure also fires: the failure strikes first and finds no server, so
+    the re-admitted attempt is never struck into a zero-length attempt —
+    whether or not a later arrival is still pending in the stream.
+    """
+
+    @pytest.mark.parametrize("later_arrival", [False, True])
+    def test_failure_runs_before_due_readmission(self, later_arrival):
+        items = [Item(arrival=0, departure=100, size=0.5, item_id="s")]
+        if later_arrival:
+            items.append(Item(arrival=50, departure=60, size=0.1, item_id="late"))
+
+        def run(record_induced):
+            return simulate_faulty_stream(
+                iter(items),
+                FirstFit(),
+                injector=FaultInjector(schedule=(5.0, 6.0)),
+                retry_policy=RetryPolicy(base_delay=1.0, jitter=0.0),
+                record_induced=record_induced,
+            )
+
+        report = run(record_induced=False).report
+        assert report.revocations == ((5.0, 0, 1),)
+        assert report.num_idle_strikes == 1
+        induced = {it.item_id: it for it in run(record_induced=True).induced_items}
+        assert (induced["s~a1"].arrival, induced["s~a1"].departure) == (6.0, 101.0)
 
 
 class TestFaultyBilling:

@@ -23,8 +23,11 @@ from repro import (
     simulate,
     validate_items,
 )
+from repro.cloud import FaultInjector, simulate_faulty_stream
 from repro.core.events import EventOrderError
+from repro.core.resources import Resources
 from repro.core.streaming import simulate_stream
+from repro.core.validation import ResourceDimensionError
 
 
 class TestItemConstruction:
@@ -74,20 +77,53 @@ class TestTraceValidation:
         assert exc.value.item_id == "big"
 
 
-class TestStreamBoundary:
-    def test_oversized_item_in_stream(self):
-        items = [Item(arrival=0, departure=1, size=2.0, item_id="big")]
-        with pytest.raises(OversizedItemError):
-            simulate_stream(iter(items), FirstFit(), capacity=1)
+#: Every driver boundary, fed the same items: ``run(items, capacity)``.
+DRIVERS = {
+    "simulate(list)": lambda items, cap: simulate(list(items), FirstFit(), capacity=cap),
+    "simulate(iter)": lambda items, cap: simulate(iter(items), FirstFit(), capacity=cap),
+    "simulate_stream": lambda items, cap: simulate_stream(iter(items), FirstFit(), capacity=cap),
+    "simulate_faulty_stream": lambda items, cap: simulate_faulty_stream(
+        iter(items), FirstFit(), injector=FaultInjector(), capacity=cap
+    ),
+}
 
-    def test_decreasing_arrivals_in_stream(self):
+
+class TestStreamBoundary:
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_oversized_item_in_stream(self, driver):
+        items = [Item(arrival=0, departure=1, size=2.0, item_id="big")]
+        with pytest.raises(OversizedItemError) as exc:
+            DRIVERS[driver](items, 1)
+        assert exc.value.item_id == "big"
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_decreasing_arrivals_in_stream(self, driver):
         items = [
             Item(arrival=5, departure=6, size=0.5, item_id="a"),
             Item(arrival=1, departure=2, size=0.5, item_id="b"),
         ]
+        if driver == "simulate(list)":
+            # A list is sorted by arrival before it is replayed.
+            result = DRIVERS[driver](items, 1)
+            assert [it.item_id for it in result.items] == ["b", "a"]
+            return
         with pytest.raises(EventOrderError) as exc:
-            simulate_stream(iter(items), FirstFit())
+            DRIVERS[driver](items, 1)
         assert exc.value.item_id == "b"
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_scalar_size_against_vector_capacity(self, driver):
+        items = [Item(arrival=0, departure=1, size=0.5, item_id="s")]
+        with pytest.raises(ResourceDimensionError) as exc:
+            DRIVERS[driver](items, Resources(1.0, 1.0))
+        assert (exc.value.expected, exc.value.got, exc.value.item_id) == (2, None, "s")
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_size_dimensions_differ_from_capacity(self, driver):
+        items = [Item(arrival=0, departure=1, size=Resources(0.1, 0.1, 0.1), item_id="v")]
+        with pytest.raises(ResourceDimensionError) as exc:
+            DRIVERS[driver](items, Resources(1.0, 1.0))
+        assert (exc.value.expected, exc.value.got, exc.value.item_id) == (2, 3, "v")
 
     def test_simulator_arrive_bad_size(self):
         sim = Simulator(FirstFit())
