@@ -11,9 +11,11 @@ so future PRs can track engine throughput:
   the O(n log n) indexed path and the seed O(n²) list scan — on the same
   materialized trace, yielding a direct speedup figure (the refactor's
   acceptance bar is >= 10x for First Fit at 100k).
-* The largest size runs **streamed**: a generator trace through the lazy
-  heap-merge event stream with recording off, tracemalloc-audited to show
-  the full event list (and trace) is never materialized.
+* Larger sizes run **streamed**: the lazy heap-merge event stream with
+  recording off.  The timed pass replays a trace built before the timer
+  starts, so it measures the engine alone; a separate tracemalloc pass
+  pulls the same trace from its generator to show the full event list
+  (and trace) is never materialized.
 * An **observability overhead** pass re-runs one streamed size with the
   full ``repro.obs`` stack attached (metrics registry + probe counting +
   lifecycle tracer writing JSONL to disk) and records the wall-time ratio
@@ -412,12 +414,21 @@ def run_baseline(
                     f"speedup {scan_s/indexed_s:.1f}x"
                 )
             else:
-                tracemalloc.start()
+                # Engine-only timing: the trace is generated before the timer.
+                items = list(workload(n_items, seed))
                 t0 = time.perf_counter()
-                summary = simulate_stream(workload(n_items, seed), algo_cls())
+                summary = simulate_stream(iter(items), algo_cls())
                 streamed_s = time.perf_counter() - t0
+                del items
+                # Separate memory pass, pulling the trace from its generator.
+                tracemalloc.start()
+                audited = simulate_stream(workload(n_items, seed), algo_cls())
                 _, peak_bytes = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
+                if audited != summary:
+                    raise AssertionError(
+                        f"{name} memory pass diverged from the timed run at {n_items}"
+                    )
                 results.append(
                     {
                         "algorithm": name,
@@ -432,7 +443,7 @@ def run_baseline(
                 )
                 print(
                     f"{name:>10} n={n_items:>9,}: streamed {summary.num_items/streamed_s:>9,.0f} it/s, "
-                    f"peak mem {peak_bytes/1e6:,.0f} MB "
+                    f"peak mem {peak_bytes/1e6:,.1f} MB "
                     f"({summary.num_bins_used:,} bins, peak {summary.peak_open_bins:,} open)"
                 )
     if obs_size is None:

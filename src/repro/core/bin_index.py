@@ -3,14 +3,21 @@
 The seed engine kept open bins in a plain list, so every First Fit arrival
 scanned all open bins and every departure paid an O(n) ``list.remove`` —
 quadratic end-to-end.  :class:`OpenBinIndex` replaces the list with a
-slot-map keyed by ``bin.index`` plus, per bin label, two ordered views
-maintained on every add/remove/update:
+slot-map keyed by ``bin.index`` plus, per bin label, a pool of
+opening-order slots with two ordered fit views:
 
-* a **max-residual segment tree** over opening-order slots, answering
-  "lowest-index open bin with residual >= s" (the First Fit query) by a
-  single root-to-leaf descent, and
+* a **max-residual segment tree** over the slots, answering "lowest-index
+  open bin with residual >= s" (the First Fit query) by a single
+  root-to-leaf descent, and
 * a **sorted residual list** answering "smallest residual >= s, earliest
   opened on ties" (the Best Fit query) by binary search.
+
+A pool pays only for the queries asked: each view is built from the live
+bins the first time its query runs on that pool, and only views that
+exist are kept current on add/remove/update.  A First Fit or Modified
+First Fit run never allocates a Best Fit list; a Best Fit run never builds
+a tree.  Dead slots are reclaimed by order-preserving compaction, so slot
+arrays stay O(peak open bins) however many bins a long trace opens.
 
 Pools holding :class:`Resources` residuals (vector runs) swap the segment
 tree for per-dimension NumPy residual columns intersected in one
@@ -33,16 +40,13 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterator, overload
+from typing import Any, Iterator, overload
 
 import numpy as np
 
 from .numeric import Num
 from .bin import Bin
-from .resources import Resources, Size
-
-if TYPE_CHECKING:
-    _FloatColumn = np.ndarray[Any, np.dtype[np.float64]]
+from .resources import Resources, Size, dims_of, scalarize_max
 
 __all__ = ["ANY_LABEL", "OpenBinIndex", "OpenBinView"]
 
@@ -68,107 +72,178 @@ ANY_LABEL = _AnyLabel()
 
 
 class _Pool:
-    """Fit indexes for the open bins sharing one label."""
+    """Opening-order slots and lazy fit views for one label's open bins.
 
-    __slots__ = ("cap", "n_slots", "tree", "slots", "slot_of", "by_residual", "entry")
+    Bins take consecutive slots in the order they are added, so the lowest
+    live slot holding a fit is the earliest-opened fit.  Two views hang off
+    the slots, each ``None`` until the first query of its kind builds it
+    from the live bins (:meth:`_build_ff`, :meth:`_build_bf`); from then on
+    ``add``/``update``/``discard`` keep it current:
 
-    def __init__(self) -> None:
-        self.cap = 1  # leaf capacity of the segment tree (power of two)
-        self.n_slots = 0  # slots ever allocated, including dead ones
-        self.tree: list[Num] = [_CLOSED, _CLOSED]  # 1-based max tree, leaves at cap+i
+    * ``ff``, the First Fit view — here a 1-based max-residual segment
+      tree with leaves at ``cap + slot``;
+    * ``by_residual``, the Best Fit view — ``(scalarize_max(residual),
+      bin.index)`` keys in sorted order, ``entry`` holding each bin's key.
+
+    When an add finds the slot array full, :meth:`_make_room` moves the
+    live bins to its front in opening order and doubles it only if more
+    than half of it is live, so ``cap`` stays at most four times the
+    pool's peak of open bins.  A free list would not do: a new bin in a
+    reused low slot would sit ahead of older bins.
+
+    :class:`_VectorPool` swaps in a different First Fit view; everything
+    else, the Best Fit view included, is shared.
+    """
+
+    __slots__ = ("dims", "cap", "n_slots", "slots", "slot_of", "ff", "by_residual", "entry")
+
+    def __init__(self, dims: int | None = None) -> None:
+        self.dims = dims  # None for scalar residuals
+        self.cap = 1  # slot capacity (power of two)
+        self.n_slots = 0  # first unused slot; dead ones below it await compaction
         self.slots: list[Bin | None] = [None]
         self.slot_of: dict[int, int] = {}  # bin.index -> slot
-        self.by_residual: list[tuple[Num, int]] = []  # sorted (residual, bin.index)
+        self.ff: list[Any] | None = None
+        self.by_residual: list[tuple[Num, int]] | None = None
         self.entry: dict[int, tuple[Num, int]] = {}  # bin.index -> its by_residual key
-
-    def __len__(self) -> int:
-        return len(self.slot_of)
 
     # ------------------------------------------------------------- mutation
 
     def add(self, bin: Bin) -> None:
-        if isinstance(bin.residual, Resources):
-            raise TypeError(
-                f"bin {bin.index} has a vector residual; scalar and vector "
-                "bins cannot share a label pool"
-            )
+        residual = bin.residual
+        dims = dims_of(residual)
+        if dims != self.dims:
+            if dims is None or self.dims is None:
+                raise TypeError(
+                    f"bin {bin.index} has a {'scalar' if dims is None else 'vector'} "
+                    "residual; scalar and vector bins cannot share a label pool"
+                )
+            raise ValueError(f"bin {bin.index} is {dims}-D in a {self.dims}-D pool")
         if self.n_slots == self.cap:
-            self._grow()
+            self._make_room()
         slot = self.n_slots
-        self.n_slots += 1
+        self.n_slots = slot + 1
         self.slots[slot] = bin
         self.slot_of[bin.index] = slot
-        self._tree_set(slot, bin.residual)
-        key = (bin.residual, bin.index)
-        insort(self.by_residual, key)
-        self.entry[bin.index] = key
+        if self.ff is not None:
+            self._ff_set(slot, residual)
+        if self.by_residual is not None:
+            key = (scalarize_max(residual), bin.index)
+            insort(self.by_residual, key)
+            self.entry[bin.index] = key
 
     def discard(self, bin: Bin) -> None:
         slot = self.slot_of.pop(bin.index)
         self.slots[slot] = None
-        self._tree_set(slot, _CLOSED)
-        key = self.entry.pop(bin.index)
-        del self.by_residual[bisect_left(self.by_residual, key)]
+        if self.ff is not None:
+            self._ff_set(slot, None)
+        if self.by_residual is not None:
+            key = self.entry.pop(bin.index)
+            del self.by_residual[bisect_left(self.by_residual, key)]
 
     def update(self, bin: Bin) -> None:
-        self._tree_set(self.slot_of[bin.index], bin.residual)
-        old = self.entry[bin.index]
-        del self.by_residual[bisect_left(self.by_residual, old)]
-        key = (bin.residual, bin.index)
-        insort(self.by_residual, key)
-        self.entry[bin.index] = key
+        residual = bin.residual
+        if self.ff is not None:
+            self._ff_set(self.slot_of[bin.index], residual)
+        by_residual = self.by_residual
+        if by_residual is not None:
+            del by_residual[bisect_left(by_residual, self.entry[bin.index])]
+            key = (scalarize_max(residual), bin.index)
+            insort(by_residual, key)
+            self.entry[bin.index] = key
 
     # -------------------------------------------------------------- queries
 
-    def first_fit(self, size: Num) -> Bin | None:
+    def first_fit(self, size: Size) -> Bin | None:
         """Earliest-opened bin with residual >= ``size`` (O(log n))."""
-        tree = self.tree
+        tree = self.ff
+        if tree is None:
+            tree = self._build_ff()
         if tree[1] < size:
             return None
         node = 1
-        while node < self.cap:
+        cap = self.cap
+        while node < cap:
             node <<= 1
             if tree[node] < size:
                 node += 1
-        return self.slots[node - self.cap]
+        return self.slots[node - cap]
 
-    def best_fit(self, size: Num) -> tuple[Num, int] | None:
-        """``(residual, bin.index)`` of the tightest fit, or None (O(log n)).
+    def best_fit(self, size: Size) -> tuple[Num, int] | None:
+        """``(scalarize_max(residual), bin.index)`` of the tightest fit.
 
-        Ties on residual resolve to the lowest ``bin.index`` — the
-        earliest-opened bin, matching the list scan's strict-< rule.
+        Ties on the key resolve to the lowest ``bin.index`` — the
+        earliest-opened bin, matching the list scan's strict-< rule.  For
+        scalars the key is the residual, so the first entry at or after
+        the bisection point fits (O(log n)).  For vectors dominance
+        implies ``scalarize_max(size) <= scalarize_max(residual)``, so
+        every dominating bin lies at or after that point and the forward
+        scan stops at the first one that dominates.
         """
-        # (size, -1) sorts before every real (size, bin.index) key: indexes
-        # are >= 0, so the search lands on the first residual >= size.
-        i = bisect_left(self.by_residual, (size, -1))
-        if i == len(self.by_residual):
-            return None
-        return self.by_residual[i]
+        by_residual = self.by_residual
+        if by_residual is None:
+            by_residual = self._build_bf()
+        slots = self.slots
+        slot_of = self.slot_of
+        # (key, -1) sorts before every real (key, bin.index) entry: indexes
+        # are >= 0, so the search lands on the first key >= scalarize_max(size).
+        for i in range(bisect_left(by_residual, (scalarize_max(size), -1)), len(by_residual)):
+            entry = by_residual[i]
+            candidate = slots[slot_of[entry[1]]]
+            assert candidate is not None
+            if size <= candidate.residual:
+                return entry
+        return None
 
     # ------------------------------------------------------------ internals
 
-    def _grow(self) -> None:
-        self.cap *= 2
-        self.slots.extend([None] * (self.cap - len(self.slots)))
-        tree: list[Num] = [_CLOSED] * (2 * self.cap)
-        for slot, bin in enumerate(self.slots):
-            if bin is not None:
-                tree[self.cap + slot] = bin.residual
-        for node in range(self.cap - 1, 0, -1):
-            tree[node] = max(tree[2 * node], tree[2 * node + 1])
-        self.tree = tree
+    def _live(self) -> list[Bin]:
+        """The live bins in opening order."""
+        return [bin for bin in self.slots[: self.n_slots] if bin is not None]
 
-    def _tree_set(self, slot: int, value: Num) -> None:
-        tree = self.tree
+    def _make_room(self) -> None:
+        """Compact a full slot array, doubling it if over half is live."""
+        live = self._live()
+        if 2 * len(live) > self.cap:
+            self.cap *= 2
+        self.slots = live + [None] * (self.cap - len(live))
+        self.slot_of = {bin.index: slot for slot, bin in enumerate(live)}
+        self.n_slots = len(live)
+        if self.ff is not None:
+            self._build_ff()
+
+    def _build_ff(self) -> list[Any]:
+        """(Re)build the First Fit view over the current slots."""
+        self.ff = self._empty_ff()
+        for slot, bin in enumerate(self.slots[: self.n_slots]):
+            if bin is not None:
+                self._ff_set(slot, bin.residual)
+        return self.ff
+
+    def _build_bf(self) -> list[tuple[Num, int]]:
+        """Build the Best Fit view from the live bins."""
+        self.entry = {bin.index: (scalarize_max(bin.residual), bin.index) for bin in self._live()}
+        self.by_residual = sorted(self.entry.values())
+        return self.by_residual
+
+    def _empty_ff(self) -> list[Any]:
+        return [_CLOSED] * (2 * self.cap)
+
+    def _ff_set(self, slot: int, residual: Size | None) -> None:
+        """Set a slot's leaf (``None``: dead) and repair its ancestors."""
+        tree = self.ff
+        assert tree is not None
         node = self.cap + slot
+        value = _CLOSED if residual is None else residual
         tree[node] = value
-        node >>= 1
-        while node:
-            best = max(tree[2 * node], tree[2 * node + 1])
-            if tree[node] == best:
-                break
-            tree[node] = best
+        while node > 1:
+            sibling = tree[node ^ 1]
+            if sibling > value:
+                value = sibling
             node >>= 1
+            if tree[node] == value:
+                return  # the ancestors' maxima are unchanged
+            tree[node] = value
 
 
 def _float_upper(value: Num) -> float:
@@ -183,115 +258,49 @@ def _float_lower(value: Num) -> float:
     return f if f <= value else math.nextafter(f, -math.inf)
 
 
-class _VectorPool:
-    """Fit indexes for open bins with :class:`Resources` residuals.
+class _VectorPool(_Pool):
+    """A :class:`_Pool` of bins with :class:`Resources` residuals.
 
-    The scalar pool's single max-residual tree becomes one **residual
-    column per dimension** over the same opening-order slots, held as
-    NumPy float arrays.  A First Fit query intersects the per-dimension
-    candidate sets in one vectorised sweep — ``(col_d >= need_d)`` for
-    every dimension, combined with ``&`` — and walks the surviving slots
-    in opening order, confirming exact dominance on the candidate's true
-    residual.  Columns store rounded-up floats and demands round down
-    (`_float_upper`/`_float_lower`), so exact residuals that dominate are
-    never masked out — the float mask over-approximates and the exact
-    check rejects the rare false positive.  The sweep is O(n) per query
-    but at C speed over contiguous memory, which in practice beats a
-    pruned multi-tree descent: per-dimension maxima inside a subtree can
-    come from *different* bins, so tree pruning degenerates to a
-    Python-speed scan exactly when bins are tight (the common case).
+    Only the First Fit view differs: the scalar pool's max-residual tree
+    becomes one **residual column per dimension** over the same
+    opening-order slots, held as NumPy float arrays.  A First Fit query
+    intersects the per-dimension candidate sets in one vectorised sweep —
+    ``(col_d >= need_d)`` for every dimension, combined with ``&`` — and
+    walks the surviving slots in opening order, confirming exact dominance
+    on the candidate's true residual.  Columns store rounded-up floats and
+    demands round down (`_float_upper`/`_float_lower`), so exact residuals
+    that dominate are never masked out — the float mask over-approximates
+    and the exact check rejects the rare false positive.  The sweep is
+    O(slots) per query but at C speed over contiguous memory, which in
+    practice beats a pruned multi-tree descent: per-dimension maxima
+    inside a subtree can come from *different* bins, so tree pruning
+    degenerates to a Python-speed scan exactly when bins are tight (the
+    common case).  Compaction keeps the swept window within four times the
+    pool's peak of open bins.
 
-    Best Fit keys the sorted list on the canonical max-dimension
-    scalarisation of the residual.  Dominance implies
-    ``scal_max(size) <= scal_max(residual)``, so every dominating bin lies
-    at or after the bisection point; the forward scan stops at the first
-    entry whose residual actually dominates.  In one dimension both
-    structures reduce exactly to the scalar pool's orderings, which the
-    differential suite checks byte for byte.
+    The Best Fit view is the shared sorted list, keyed on the canonical
+    max-dimension scalarisation.  In one dimension both views reduce
+    exactly to the scalar pool's orderings, which the differential suite
+    checks byte for byte.
     """
 
-    __slots__ = ("dims", "cap", "n_slots", "cols", "slots", "slot_of", "by_residual", "entry")
+    __slots__ = ()
 
-    def __init__(self, dims: int) -> None:
-        self.dims = dims
-        self.cap = 1  # slot capacity of each residual column (power of two)
-        self.n_slots = 0
-        self.cols: list[_FloatColumn] = [
-            np.full(1, _CLOSED, dtype=np.float64) for _ in range(dims)
-        ]
-        self.slots: list[Bin | None] = [None]
-        self.slot_of: dict[int, int] = {}  # bin.index -> slot
-        self.by_residual: list[tuple[Num, int]] = []  # sorted (scal_max, bin.index)
-        self.entry: dict[int, tuple[Num, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.slot_of)
-
-    # ------------------------------------------------------------- mutation
-
-    def _residual_of(self, bin: Bin) -> Resources:
-        residual = bin.residual
-        if not isinstance(residual, Resources):
-            raise TypeError(
-                f"bin {bin.index} has a scalar residual; scalar and vector "
-                "bins cannot share a label pool"
-            )
-        if residual.dims != self.dims:
-            raise ValueError(
-                f"bin {bin.index} is {residual.dims}-D in a {self.dims}-D pool"
-            )
-        return residual
-
-    def add(self, bin: Bin) -> None:
-        residual = self._residual_of(bin)
-        if self.n_slots == self.cap:
-            self._grow()
-        slot = self.n_slots
-        self.n_slots += 1
-        self.slots[slot] = bin
-        self.slot_of[bin.index] = slot
-        self._cols_set(slot, residual)
-        key = (residual.max_component(), bin.index)
-        insort(self.by_residual, key)
-        self.entry[bin.index] = key
-
-    def discard(self, bin: Bin) -> None:
-        slot = self.slot_of.pop(bin.index)
-        self.slots[slot] = None
-        self._cols_set(slot, None)
-        key = self.entry.pop(bin.index)
-        del self.by_residual[bisect_left(self.by_residual, key)]
-        # Keep the sweep window dense: once dead slots outnumber live ones
-        # the candidate sweep would mostly scan tombstones, so rebuild the
-        # opening-order prefix (amortised O(1) per discard).
-        if self.n_slots >= 64 and 2 * len(self.slot_of) < self.n_slots:
-            self._compact()
-
-    def update(self, bin: Bin) -> None:
-        residual = self._residual_of(bin)
-        self._cols_set(self.slot_of[bin.index], residual)
-        old = self.entry[bin.index]
-        del self.by_residual[bisect_left(self.by_residual, old)]
-        key = (residual.max_component(), bin.index)
-        insort(self.by_residual, key)
-        self.entry[bin.index] = key
-
-    # -------------------------------------------------------------- queries
-
-    def first_fit(self, size: Resources) -> Bin | None:
+    def first_fit(self, size: Size) -> Bin | None:
         """Earliest-opened bin whose residual dominates ``size``.
 
         One vectorised candidate-intersection sweep over the per-dimension
         residual columns, then exact dominance checks on the surviving
         slots in opening order (almost always just the first).
         """
+        assert isinstance(size, Resources)
+        cols = self.ff
+        if cols is None:
+            cols = self._build_ff()
         n = self.n_slots
-        if n == 0:
-            return None
         need = size.values
-        cols = self.cols
         mask = cols[0][:n] >= _float_lower(need[0])
-        for d in range(1, self.dims):
+        for d in range(1, len(cols)):
             mask &= cols[d][:n] >= _float_lower(need[d])
         slots = self.slots
         for slot in np.flatnonzero(mask):
@@ -300,67 +309,41 @@ class _VectorPool:
                 return bin
         return None
 
-    def best_fit(self, size: Resources) -> tuple[Num, int] | None:
-        """``(scal_max(residual), bin.index)`` of the canonical tightest fit.
+    def _empty_ff(self) -> list[Any]:
+        assert self.dims is not None
+        return [np.full(self.cap, _CLOSED, dtype=np.float64) for _ in range(self.dims)]
 
-        "Tightest" under the max-dimension scalarisation, earliest opened
-        on ties — the same rule the vector Best Fit list scan applies, and
-        exactly the scalar rule in 1-D.
-        """
-        lo = (size.max_component(), -1)
-        by_residual = self.by_residual
-        slots = self.slots
-        slot_of = self.slot_of
-        for i in range(bisect_left(by_residual, lo), len(by_residual)):
-            key = by_residual[i]
-            candidate = slots[slot_of[key[1]]]
-            assert candidate is not None
-            if size <= candidate.residual:
-                return key
-        return None
-
-    # ------------------------------------------------------------ internals
-
-    def _grow(self) -> None:
-        self.cap *= 2
-        self.slots.extend([None] * (self.cap - len(self.slots)))
-        pad = np.full(self.cap // 2, _CLOSED, dtype=np.float64)
-        self.cols = [np.concatenate([col, pad]) for col in self.cols]
-
-    def _compact(self) -> None:
-        live = [bin for bin in self.slots[: self.n_slots] if bin is not None]
-        self.slots = live + [None] * (self.cap - len(live))
-        self.slot_of = {bin.index: slot for slot, bin in enumerate(live)}
-        self.n_slots = len(live)
-        for col in self.cols:
-            col[:] = _CLOSED
-        for slot, bin in enumerate(live):
-            self._cols_set(slot, self._residual_of(bin))
-
-    def _cols_set(self, slot: int, residual: Resources | None) -> None:
-        for d in range(self.dims):
-            self.cols[d][slot] = (
-                _CLOSED if residual is None else _float_upper(residual[d])
-            )
+    def _ff_set(self, slot: int, residual: Size | None) -> None:
+        cols = self.ff
+        assert cols is not None
+        if residual is None:
+            for col in cols:
+                col[slot] = _CLOSED
+        else:
+            assert isinstance(residual, Resources)
+            for col, value in zip(cols, residual.values):
+                col[slot] = _float_upper(value)
 
 
 class OpenBinIndex:
-    """Slot-map of open bins with per-label ordered fit indexes.
+    """Slot-map of open bins with per-label, lazily built fit views.
 
     The simulator owns one instance and keeps it current: ``add`` on bin
     open (after the algorithm's ``on_bin_opened`` hook has set the label),
     ``update`` after any placement or partial departure changes a bin's
     residual, ``discard`` when the bin closes.  Membership tests, length
-    and removal are O(1); fit queries are O(log n); iteration yields bins
-    in opening order.
+    and removal are O(1); fit queries are O(log n), except the first query
+    of each kind on a pool, which builds that pool's view in O(n); updates
+    cost O(log n) per view a query has built; iteration yields bins in
+    opening order.
     """
 
-    __slots__ = ("_by_index", "_pools", "_label_of")
+    __slots__ = ("_by_index", "_pools", "_pool_of")
 
     def __init__(self) -> None:
         self._by_index: dict[int, Bin] = {}  # insertion order == opening order
-        self._pools: dict[Any, _Pool | _VectorPool] = {}
-        self._label_of: dict[int, Any] = {}  # label at registration time
+        self._pools: dict[Any, _Pool] = {}
+        self._pool_of: dict[int, _Pool] = {}  # pool of the label at registration
 
     # ------------------------------------------------------- set protocol
 
@@ -382,28 +365,22 @@ class OpenBinIndex:
         """Register a newly opened bin under its current label."""
         if bin.index in self._by_index:
             raise ValueError(f"bin {bin.index} is already indexed")
-        self._by_index[bin.index] = bin
-        label = bin.label
-        pool = self._pools.get(label)
+        pool = self._pools.get(bin.label)
         if pool is None:
-            residual = bin.residual
-            pool = self._pools[label] = (
-                _VectorPool(residual.dims)
-                if isinstance(residual, Resources)
-                else _Pool()
-            )
+            dims = dims_of(bin.residual)
+            pool = self._pools[bin.label] = _Pool() if dims is None else _VectorPool(dims)
         pool.add(bin)
-        self._label_of[bin.index] = label
+        self._by_index[bin.index] = bin
+        self._pool_of[bin.index] = pool
 
     def discard(self, bin: Bin) -> None:
         """Drop a (closed) bin from the index."""
         del self._by_index[bin.index]
-        label = self._label_of.pop(bin.index)
-        self._pools[label].discard(bin)
+        self._pool_of.pop(bin.index).discard(bin)
 
     def update(self, bin: Bin) -> None:
-        """Refresh the ordered views after the bin's residual changed."""
-        self._pools[self._label_of[bin.index]].update(bin)
+        """Refresh the pool's built views after the bin's residual changed."""
+        self._pool_of[bin.index].update(bin)
 
     # ------------------------------------------------------------ queries
 

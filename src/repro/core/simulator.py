@@ -249,9 +249,10 @@ class Simulator:
             new_capacity = self.algorithm.new_bin_capacity(view)
             if new_capacity is None:
                 new_capacity = self.capacity
-            if isinstance(size, Resources) and not isinstance(
-                new_capacity, Resources
-            ):
+            if isinstance(new_capacity, Resources):
+                if new_capacity.dims != dims:
+                    raise ResourceDimensionError(new_capacity.dims, dims, item_id=item_id)
+            elif isinstance(size, Resources):
                 # Scalar-capacity broadcast: capacity W means W per dimension.
                 new_capacity = Resources.uniform(new_capacity, size.dims)
             if not size_fits(size, new_capacity):

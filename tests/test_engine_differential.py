@@ -8,7 +8,9 @@ Independently configured paths must agree exactly:
   plain, checkpointed and resumed, and the zero-failure fault driver — vs
   :func:`compile_events`' order, as seen by an observer; and
 * the O(log n) indexed fit paths vs the seed list scan, for every bundled
-  algorithm, compared as whole :class:`PackingResult` values.
+  algorithm, compared as whole :class:`PackingResult` values — also on a
+  churn trace that opens >= 20x its peak of open bins, where the index
+  compacts its slots many times and resumed runs rebuild its views.
 
 Traces are seeded and use integer-grid times so same-instant collisions
 (departures tied with arrivals, simultaneous arrivals) occur constantly.
@@ -257,3 +259,60 @@ class TestIndexedPathDifferential:
         result = simulate(items, LastFit())
         assert opened_last  # the override actually ran
         assert result == simulate(items, LastFit(), indexed=False)
+
+
+def churn_trace(seed, dims=None, n=300):
+    """Short sessions on an integer grid: many bins opened, few open at once.
+
+    Every bin closes within a few time units, so a run opens >= 20x its
+    peak of open bins and the index compacts its slot arrays many times.
+    """
+    rng = np.random.default_rng(seed)
+    arrivals = np.sort(rng.integers(0, 2 * n, size=n))
+    durations = rng.integers(1, 5, size=n)
+    sizes = rng.integers(1, 8, size=(n, 2)) / 8.0
+    return [
+        Item(
+            arrival=int(arrivals[i]),
+            departure=int(arrivals[i] + durations[i]),
+            size=float(sizes[i, 0]) if dims is None else Resources(*map(float, sizes[i])),
+            item_id=f"c{seed}-{i}",
+        )
+        for i in range(n)
+    ]
+
+
+CHURN_ALGORITHMS = [FirstFit, BestFit, ModifiedFirstFit, ModifiedBestFit]
+
+
+class TestIndexChurnDifferential:
+    """Compaction and lazy view builds under heavy bin turnover."""
+
+    @pytest.mark.parametrize("dims", [None, 2], ids=["scalar", "2d"])
+    @pytest.mark.parametrize("algo_cls", CHURN_ALGORITHMS)
+    def test_indexed_matches_list_scan(self, algo_cls, dims):
+        items = churn_trace(4, dims)
+        indexed = simulate(items, algo_cls())
+        scan = simulate(items, algo_cls(), indexed=False)
+        assert indexed.num_bins_used >= 20 * indexed.max_bins_used
+        assert indexed == scan
+        assert indexed.total_cost() == scan.total_cost()
+
+    @pytest.mark.parametrize("dims", [None, 2], ids=["scalar", "2d"])
+    @pytest.mark.parametrize("algo_cls", CHURN_ALGORITHMS)
+    def test_resume_from_every_fifth_checkpoint(self, algo_cls, dims):
+        # A restored index holds only the restored bins and builds its fit
+        # views from them on the first query after the resume.
+        items = churn_trace(6, dims)
+        checkpoints = []
+        base = simulate_stream(
+            iter(items),
+            algo_cls(),
+            checkpoint_every=1,
+            on_checkpoint=checkpoints.append,
+        )
+        assert base.num_bins_used >= 20 * base.peak_open_bins
+        assert base == simulate_stream(iter(items), algo_cls())
+        for checkpoint in checkpoints[::5]:
+            resumed = simulate_stream(iter(items), algo_cls(), resume_from=checkpoint)
+            assert resumed == base

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro import FirstFit, make_items, simulate, utilization
+from repro import (
+    FirstFit,
+    Item,
+    ResourceDimensionError,
+    make_items,
+    simulate,
+    utilization,
+)
 from repro.cloud.flavors import Flavor, FlavorAwareFirstFit, fleet_bill
+from repro.core.resources import Resources
 from repro.core.simulator import SimulationError
 
 
@@ -84,6 +92,25 @@ class TestAlgorithm:
 
         with pytest.raises(SimulationError, match="cannot fit the new bin"):
             simulate(make_items([(0, 1, 0.5)]), Liar())
+
+    @staticmethod
+    def _opening(capacity):
+        class Fixed(FirstFit):
+            def new_bin_capacity(self, item):
+                return capacity
+
+        return Fixed()
+
+    def test_vector_capacity_for_scalar_item_is_a_dimension_error(self):
+        algo = self._opening(Resources(1.0, 1.0))
+        with pytest.raises(ResourceDimensionError, match="'item-0'"):
+            simulate(make_items([(0, 1, 0.5)]), algo)
+
+    def test_capacity_of_other_dimension_is_a_dimension_error(self):
+        items = [Item(arrival=0, departure=1, size=Resources(0.5, 0.5), item_id="v")]
+        algo = self._opening(Resources(1.0, 1.0, 1.0))
+        with pytest.raises(ResourceDimensionError, match="2-D vector size in a 3-D"):
+            simulate(items, algo)
 
 
 class TestBilling:
