@@ -281,6 +281,13 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         or args.serve_metrics is not None
     )
     migrating = args.migration_factor is not None
+    if migrating and not args.migration_factor >= 0:  # also rejects NaN
+        print(
+            f"dispatch: --migration-factor must be >= 0, got "
+            f"{args.migration_factor}",
+            file=sys.stderr,
+        )
+        return 2
     if len(algorithms) > 1:
         if observed or migrating:
             print(

@@ -70,7 +70,8 @@ class StreamRepacker(Protocol):
         ...
 
     def checkpoint_state(self) -> Any:
-        """JSON-serializable snapshot of budget counters."""
+        """JSON-serializable snapshot of budget counters (never ``None``,
+        which marks a checkpoint taken without a repacker)."""
         ...
 
     def restore_state(self, state: Any) -> None:
@@ -195,6 +196,11 @@ def simulate_stream(
         events = resume_from.events_processed
         last_arrival = resume_from.last_arrival
         if repacker is not None:
+            if resume_from.repacker_state is None:
+                raise CheckpointError(
+                    "checkpoint was taken without a repacker; resume it "
+                    "without one"
+                )
             repacker.restore_state(resume_from.repacker_state)
         elif resume_from.repacker_state is not None:
             raise CheckpointError(

@@ -16,6 +16,14 @@ fitting destination, budget arithmetic stays in the trace's number types
 (``Fraction`` traces never touch floats), and the accumulated budget and
 move counters ride in stream checkpoints (``repacker_state``) so resumed
 runs repack identically.
+
+One search over ``n`` open bins holding ``m`` items computes each bin's
+residual ``capacity - level`` once, then drops, in O(n + m), every source
+whose largest item is larger than every other bin's residual and so
+cannot move (on typical traces, most sources).  Only the rest are
+ordered and planned.  Planning probes each destination's cached residual
+with one comparison and recomputes a residual only for the destination
+that takes an item.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..core.numeric import Num
-from ..core.bin import Bin
+from ..core.bin import Bin, PackedItem
+from ..core.checkpoint import CheckpointError
+from ..core.resources import Size
+from ..core.validation import CheckpointFormatError
 from .strategies import scalar_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -58,7 +69,7 @@ class BoundedRepacker:
     def __init__(
         self, factor: Num = 1, *, consolidate_on_departure: bool = True
     ) -> None:
-        if factor < 0:
+        if not factor >= 0:  # also rejects NaN
             raise ValueError(f"migration factor must be >= 0, got {factor}")
         self.factor = factor
         self.consolidate_on_departure = consolidate_on_departure
@@ -101,14 +112,23 @@ class BoundedRepacker:
 
     def restore_state(self, state: Any) -> None:
         if state is None:
-            raise ValueError(
+            raise CheckpointError(
                 "checkpoint carries no repacker state; it was taken without a "
                 "repacker and cannot resume in migration-bounded mode"
             )
-        self._budget = state["budget"]
-        self.migrations_done = state["migrations_done"]
-        self.size_moved = state["size_moved"]
-        self.bins_emptied = state["bins_emptied"]
+        try:
+            budget = state["budget"]
+            migrations_done = state["migrations_done"]
+            size_moved = state["size_moved"]
+            bins_emptied = state["bins_emptied"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointFormatError(
+                f"malformed repacker_state ({exc!r})"
+            ) from exc
+        self._budget = budget
+        self.migrations_done = migrations_done
+        self.size_moved = size_moved
+        self.bins_emptied = bins_emptied
 
     # ----------------------------------------------------------- consolidation
 
@@ -135,13 +155,32 @@ class BoundedRepacker:
         candidate's items are matched largest-first to the earliest-opened
         other bin with enough *planned* residual.  The first candidate
         whose items all fit elsewhere within the budget wins.
+
+        Before ordering, every candidate whose largest item exceeds the
+        roomiest other bin's residual is dropped, which cannot change the
+        winner.  For scalar sizes that item is the plan's first, and its
+        first probe fails exactly when it exceeds every other residual,
+        i.e. their maximum.  For vector sizes, fitting a bin (dominance)
+        implies ``max(size) <= max(residual)``, so no feasible candidate
+        is dropped.  The two largest residuals give every bin its roomiest
+        alternative, so the filter costs O(n + m) for ``n`` open bins
+        holding ``m`` items.
         """
         bins = list(sim.open_bins)
         if len(bins) < 2:
             return None
-        for source in sorted(
-            bins, key=lambda b: (scalar_size(b.level), -b.index)
-        ):
+        residuals = [b.residual for b in bins]
+        room = [scalar_size(r) for r in residuals]
+        top = max(range(len(bins)), key=room.__getitem__)
+        room_beside_top = max(room[:top] + room[top + 1 :])
+        candidates = [
+            (source, pos)
+            for pos, source in enumerate(bins)
+            if max(scalar_size(view.size) for view in source.items())
+            <= (room_beside_top if pos == top else room[top])
+        ]
+        candidates.sort(key=lambda c: (scalar_size(c[0].level), -c[0].index))
+        for source, pos in candidates:
             contents = sorted(
                 source.items(), key=lambda v: (-scalar_size(v.size), v.item_id)
             )
@@ -150,32 +189,40 @@ class BoundedRepacker:
                 moved = moved + scalar_size(view.size)
             if moved > self._budget:
                 continue
-            others = [b for b in bins if b is not source]
-            # Track planned *levels* with the exact arithmetic Bin.add and
-            # Bin.fits use (level = level + size; size <= capacity - level):
-            # planning on decremented residuals associates float sums
-            # differently and can disagree with the bin by one ulp, making
-            # Simulator.migrate reject a "feasible" plan.
-            levels = {b.index: b.level for b in others}
-            moves: list[tuple[str, Bin]] = []
-            feasible = True
-            for view in contents:
-                dest = next(
-                    (
-                        b
-                        for b in others
-                        if view.size <= b.capacity - levels[b.index]
-                    ),
-                    None,
-                )
-                if dest is None:
-                    feasible = False
-                    break
-                levels[dest.index] = levels[dest.index] + view.size
-                moves.append((view.item_id, dest))
-            if feasible:
+            moves = self._plan(
+                contents,
+                bins[:pos] + bins[pos + 1 :],
+                residuals[:pos] + residuals[pos + 1 :],
+            )
+            if moves is not None:
                 return source, moves, moved
         return None
+
+    @staticmethod
+    def _plan(
+        contents: list[PackedItem], dests: list[Bin], free: list[Size]
+    ) -> list[tuple[str, Bin]] | None:
+        """First-fit ``contents`` into ``dests``, or ``None`` if an item
+        fits nowhere.  ``free`` holds the destinations' residuals and is
+        updated as items are placed."""
+        # A destination's residual is recomputed from its planned *level*
+        # with the exact arithmetic Bin.add and Bin.fits use (level = level
+        # + size; size <= capacity - level): decrementing the residual
+        # associates float sums differently and can disagree with the bin
+        # by one ulp, making Simulator.migrate reject a "feasible" plan.
+        levels: dict[int, Size] = {}
+        moves: list[tuple[str, Bin]] = []
+        for view in contents:
+            for d, residual in enumerate(free):
+                if view.size <= residual:
+                    break
+            else:
+                return None
+            dest = dests[d]
+            level = levels[d] = levels.get(d, dest.level) + view.size
+            free[d] = dest.capacity - level
+            moves.append((view.item_id, dest))
+        return moves
 
     def __repr__(self) -> str:
         return (

@@ -19,6 +19,7 @@ from repro.core.checkpoint import (
 from repro.core.item import Item
 from repro.core.validation import CheckpointFormatError, CheckpointSchemaError
 from repro.core.streaming import simulate_stream
+from repro.renting import BoundedRepacker
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
 
 
@@ -162,6 +163,54 @@ class TestCheckpointErrors:
         stale = dataclasses.replace(sink[0], version=CHECKPOINT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
             simulate_stream(_workload(), FirstFit(), resume_from=stale)
+
+
+class TestRepackerResumeErrors:
+    """Resuming with the other repacker configuration, or from a malformed
+    ``repacker_state``, raises a typed error."""
+
+    def _migrating_checkpoints(self):
+        sink = []
+        simulate_stream(
+            _workload(n_items=200),
+            FirstFit(),
+            repacker=BoundedRepacker(1),
+            checkpoint_every=53,
+            on_checkpoint=sink.append,
+        )
+        return sink
+
+    def test_repacker_needs_repacker_state(self):
+        _, sink = _collect_checkpoints(FirstFit, n_items=120)
+        with pytest.raises(CheckpointError, match="without a repacker"):
+            simulate_stream(
+                _workload(n_items=120),
+                FirstFit(),
+                repacker=BoundedRepacker(1),
+                resume_from=sink[0],
+            )
+        with pytest.raises(CheckpointError, match="without a repacker"):
+            BoundedRepacker(1).restore_state(None)
+
+    def test_repacker_state_needs_repacker(self):
+        sink = self._migrating_checkpoints()
+        with pytest.raises(CheckpointError, match="migration-bounded"):
+            simulate_stream(_workload(n_items=200), FirstFit(), resume_from=sink[0])
+
+    def test_repacker_state_missing_a_key(self):
+        sink = self._migrating_checkpoints()
+        state = dict(sink[0].repacker_state)
+        del state["budget"]
+        import dataclasses
+
+        broken = dataclasses.replace(sink[0], repacker_state=state)
+        with pytest.raises(CheckpointFormatError, match="budget"):
+            simulate_stream(
+                _workload(n_items=200),
+                FirstFit(),
+                repacker=BoundedRepacker(1),
+                resume_from=broken,
+            )
 
 
 class TestTypedPayloadErrors:

@@ -81,3 +81,27 @@ class TestServeMetrics:
         assert main(["run", "bounds-sandwich", "--serve-metrics"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+
+
+class TestMigratingDispatch:
+    @pytest.fixture
+    def trace(self, tmp_path):
+        path = tmp_path / "day.json"
+        assert main(["generate", "--kind", "poisson", "--seed", "3",
+                     "--horizon", "50", "--rate", "2", "--out", str(path)]) == 0
+        return path
+
+    def test_dispatch_migrates(self, trace, capsys):
+        capsys.readouterr()
+        assert main(["dispatch", str(trace), "--migration-factor", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "migrations" in out and "beta           1.0" in out
+
+    @pytest.mark.parametrize("beta", ["-1", "nan"])
+    def test_dispatch_rejects_invalid_migration_factor(self, trace, capsys, beta):
+        capsys.readouterr()
+        assert main(["dispatch", str(trace), "--migration-factor", beta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--migration-factor must be >= 0" in captured.err

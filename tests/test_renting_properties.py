@@ -1,6 +1,6 @@
 """Property and differential tests for the migration-bounded engine.
 
-Three families of guarantees:
+Four families of guarantees:
 
 * **Billing exactness** (hypothesis): after any sequence of
   budget-respecting migrations, the billed cost equals the integral of
@@ -12,26 +12,33 @@ Three families of guarantees:
   counterpart — same assignments, same :class:`StreamSummary`, same JSON
   artifact — on a shared seeded corpus.
 * **β = 0 transparency**: a zero-budget repacker is byte-invisible.
+* **Reference planner** (differential): the shipped evacuation search,
+  which prunes sources that cannot move, makes every move the full
+  search makes, on scalar and 2-D traces.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import FirstFit, NextFit, get_algorithm
+from repro.algorithms import BestFit, FirstFit, NextFit, get_algorithm
 from repro.cloud.dispatcher import ServerType, dispatch_stream
 from repro.core.checkpoint import StreamCheckpoint
+from repro.core.item import Item
+from repro.core.resources import Resources
 from repro.core.simulator import simulate
 from repro.core.streaming import simulate_stream
 from repro.core.telemetry import SimulationObserver
 from repro.renting import BoundedRepacker, EqualDurationFit, Hybrid, MoveToFront
-from tests.conftest import exact_items
+from repro.renting.strategies import scalar_size
+from tests.conftest import build_items, exact_items
 from tests.ratio_harness import generate_general_regime
 
 
@@ -201,6 +208,12 @@ def test_checkpoint_resume_mid_migration_is_byte_identical(items, which):
     ]
 
 
+@pytest.mark.parametrize("factor", [-1, Fraction(-1, 2), float("nan")])
+def test_invalid_migration_factor_rejected(factor):
+    with pytest.raises(ValueError, match="migration factor"):
+        BoundedRepacker(factor)
+
+
 # ---------------------------------------------------------------------------
 # Degenerate identities: renting families vs their Any Fit counterparts
 
@@ -257,3 +270,130 @@ def test_zero_budget_repacker_is_byte_invisible(name):
         assert json.dumps(dataclasses.asdict(gated), default=repr) == json.dumps(
             dataclasses.asdict(plain), default=repr
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference planner: the shipped search vs a full plan of every source
+
+
+class _ReferenceRepacker(BoundedRepacker):
+    """The evacuation search with no pruning: every open bin is ordered and
+    planned in full, probing ``capacity - level`` afresh for each bin."""
+
+    def _find_evacuation(self, sim):
+        bins = list(sim.open_bins)
+        if len(bins) < 2:
+            return None
+        for source in sorted(
+            bins, key=lambda b: (scalar_size(b.level), -b.index)
+        ):
+            contents = sorted(
+                source.items(), key=lambda v: (-scalar_size(v.size), v.item_id)
+            )
+            moved = 0
+            for view in contents:
+                moved = moved + scalar_size(view.size)
+            if moved > self._budget:
+                continue
+            others = [b for b in bins if b is not source]
+            levels = {b.index: b.level for b in others}
+            moves = []
+            feasible = True
+            for view in contents:
+                dest = next(
+                    (
+                        b
+                        for b in others
+                        if view.size <= b.capacity - levels[b.index]
+                    ),
+                    None,
+                )
+                if dest is None:
+                    feasible = False
+                    break
+                levels[dest.index] = levels[dest.index] + view.size
+                moves.append((view.item_id, dest))
+            if feasible:
+                return source, moves, moved
+        return None
+
+
+class _MoveLog(SimulationObserver):
+    def __init__(self):
+        self.moves = []
+
+    def on_migration(self, time, item, from_bin, to_bin, from_closed, to_opened):
+        self.moves.append((time, item.item_id, from_bin.index, to_bin.index))
+
+
+def _random_trace(seed, size, n=70):
+    rng = random.Random(f"evacuation-{seed}")
+    items, clock = [], 0.0
+    for i in range(n):
+        clock += rng.uniform(0.0, 0.5)
+        items.append(
+            Item(
+                arrival=clock,
+                departure=clock + rng.uniform(0.5, 6.0),
+                size=size(rng),
+                item_id=f"e{i}",
+            )
+        )
+    return items
+
+
+def _float_size(rng):
+    return rng.uniform(0.05, 0.7)
+
+
+def _vector_size(rng):
+    return Resources(rng.uniform(0.02, 0.6), rng.uniform(0.02, 0.6))
+
+
+EVACUATION_TRACES = [
+    *(
+        pytest.param(generate_general_regime(seed, n=70), 1, id=f"fraction-{seed}")
+        for seed in range(2)
+    ),
+    *(
+        pytest.param(_random_trace(seed, _float_size), 1, id=f"float-{seed}")
+        for seed in range(2)
+    ),
+    *(
+        pytest.param(
+            _random_trace(seed, _vector_size), Resources(1, 1), id=f"2d-{seed}"
+        )
+        for seed in range(2)
+    ),
+    pytest.param(
+        build_items([(0, 1, 0.9), (0, 5, 0.45), (0, 5, 0.45), (0.5, 5, 0.1)]),
+        1,
+        id="float-ulp",
+    ),
+]
+
+
+@pytest.mark.parametrize("items,capacity", EVACUATION_TRACES)
+def test_evacuation_search_matches_reference_planner(items, capacity):
+    """Pruned planning makes exactly the full search's moves: same
+    PackingResult, migration log and repacker counters, under FF and BF,
+    β ∈ {1/4, 1, 4}, with and without consolidation on departure."""
+    migrated = 0
+    for algorithm in (FirstFit, BestFit):
+        for factor in (Fraction(1, 4), 1, 4):
+            for on_departure in (True, False):
+                runs = []
+                for make in (BoundedRepacker, _ReferenceRepacker):
+                    repacker = make(factor, consolidate_on_departure=on_departure)
+                    log = _MoveLog()
+                    result = simulate(
+                        items,
+                        algorithm(),
+                        capacity=capacity,
+                        repacker=repacker,
+                        observers=(log,),
+                    )
+                    runs.append((result, log.moves, repacker.checkpoint_state()))
+                assert runs[0] == runs[1]
+                migrated += len(runs[0][1])
+    assert migrated > 0
