@@ -163,12 +163,12 @@ def test_bench_anomaly_search(benchmark):
 
 def test_bench_telemetry_overhead(benchmark, gaming_trace_day):
     """Observer hooks should cost little; this tracks the tax."""
-    from repro.core.telemetry import TelemetryCollector
+    from repro.obs import MetricsObserver
 
     def run():
-        tel = TelemetryCollector()
-        result = simulate(gaming_trace_day.items, FirstFit(), observers=[tel])
-        return tel, result
+        metrics = MetricsObserver()
+        result = simulate(gaming_trace_day.items, FirstFit(), observers=[metrics])
+        return metrics, result
 
-    tel, result = benchmark(run)
-    assert tel.peak_open_bins == result.max_bins_used
+    metrics, result = benchmark(run)
+    assert metrics.registry["dbp_open_bins"].peak == result.max_bins_used

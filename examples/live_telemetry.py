@@ -57,7 +57,7 @@ class HourlyDashboard(SimulationObserver):
     def on_arrival(self, time, item, bin, opened) -> None:
         self._tick(time)
 
-    def on_departure(self, time, item_id, bin, closed) -> None:
+    def on_departure(self, time, item, bin, closed) -> None:
         self._tick(time)
 
 

@@ -43,7 +43,6 @@ from .core import (
     Simulator,
     StreamCheckpoint,
     StreamSummary,
-    TelemetryCollector,
     TraceStats,
     TraceValidationError,
     interval_ratio,
@@ -116,7 +115,6 @@ __all__ = [
     "OversizedItemError",
     "DuplicateItemIdError",
     "SimulationObserver",
-    "TelemetryCollector",
     "CostModel",
     "ContinuousCost",
     "QuantizedCost",

@@ -302,10 +302,8 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     server = ServerType(
         gpu_capacity=args.capacity, rate=args.rate, billing_quantum=args.quantum
     )
-    if observed:
-        return _dispatch_observed(args, trace, algo, server)
-    if migrating:
-        return _dispatch_migrating(args, trace, algo, server)
+    if observed or migrating:
+        return _dispatch_streamed(args, trace, algo, server, observed=observed)
     report = dispatch_trace(trace, algo, server_type=server)
     for key, value in report.summary_row().items():
         print(f"{key:14s} {value}")
@@ -347,39 +345,33 @@ def _dispatch_compare(args: argparse.Namespace, algorithms: list[str]) -> int:
     return 0
 
 
-def _dispatch_migrating(args: argparse.Namespace, trace, algo, server) -> int:
-    """Migration-bounded streamed dispatch: sessions may be consolidated
-    onto fewer servers within the ``--migration-factor`` budget, each move
-    settled exactly by the engine."""
-    from .cloud import dispatch_stream
-    from .renting import BoundedRepacker
+def _dispatch_streamed(
+    args: argparse.Namespace, trace, algo, server, *, observed: bool
+) -> int:
+    """Streamed dispatch, with the repacker and observers the flags ask for.
 
-    repacker = BoundedRepacker(factor=args.migration_factor)
-    items = iter(sorted(trace.items, key=lambda it: it.arrival))
-    report = dispatch_stream(items, algo, server_type=server, repacker=repacker)
-    print(f"{'algorithm':14s} {report.algorithm_name}")
-    print(f"{'beta':14s} {args.migration_factor}")
-    print(f"{'sessions':14s} {report.num_sessions}")
-    print(f"{'servers':14s} {report.num_servers_rented}")
-    print(f"{'peak':14s} {report.peak_concurrent_servers}")
-    print(f"{'cost(cont)':14s} {float(report.continuous_cost)}")
-    print(f"{'cost(billed)':14s} {float(report.billed_cost)}")
-    print(f"{'migrations':14s} {repacker.migrations_done}")
-    print(f"{'size moved':14s} {float(repacker.size_moved)}")
-    print(f"{'emptied':14s} {repacker.bins_emptied}")
-    return 0
-
-
-def _dispatch_observed(args: argparse.Namespace, trace, algo, server) -> int:
-    """Streamed dispatch with the repro.obs observability stack attached."""
+    ``--migration-factor`` adds a :class:`~repro.renting.BoundedRepacker`:
+    sessions may be consolidated onto fewer servers within that budget,
+    each move settled exactly by the engine.  ``observed`` attaches the
+    repro.obs stack (trace, metrics, profile, live export), which sees the
+    repacker's moves like any other event; unobserved, the session has no
+    observers and leaves the algorithm unwrapped.
+    """
     from .cloud import dispatch_stream
     from .obs import ObservationSession
+    from .renting import BoundedRepacker
 
+    repacker = (
+        BoundedRepacker(factor=args.migration_factor)
+        if args.migration_factor is not None
+        else None
+    )
     session = ObservationSession(
         algo,
         capacity=server.gpu_capacity,
         cost_rate=server.rate,
         trace=args.trace_out,
+        metrics=observed,
         profile=args.profile,
         workload={"trace_file": args.trace.name, "num_items": len(trace)},
         extra={"billing_quantum": server.billing_quantum},
@@ -419,16 +411,23 @@ def _dispatch_observed(args: argparse.Namespace, trace, algo, server) -> int:
             session.instrumented,
             server_type=server,
             observers=session.observers + extra_observers,
+            repacker=repacker,
         )
         session.finish(report.summary)
         if live_obs is not None:
             live_obs.publish()  # final snapshot equals the artifact bytes
         print(f"{'algorithm':14s} {report.algorithm_name}")
+        if repacker is not None:
+            print(f"{'beta':14s} {args.migration_factor}")
         print(f"{'sessions':14s} {report.num_sessions}")
         print(f"{'servers':14s} {report.num_servers_rented}")
         print(f"{'peak':14s} {report.peak_concurrent_servers}")
         print(f"{'cost(cont)':14s} {float(report.continuous_cost)}")
         print(f"{'cost(billed)':14s} {float(report.billed_cost)}")
+        if repacker is not None:
+            print(f"{'migrations':14s} {repacker.migrations_done}")
+            print(f"{'size moved':14s} {float(repacker.size_moved)}")
+            print(f"{'emptied':14s} {repacker.bins_emptied}")
         if args.trace_out is not None:
             print(f"trace written to {args.trace_out} ({session.tracer.records_written} records)")
         if args.metrics is not None:

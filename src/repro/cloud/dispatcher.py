@@ -141,7 +141,7 @@ class _BillingMeter(SimulationObserver):
         self.billed = self.billed + self.model.bin_cost(bin.usage_length)
         self.servers_billed += 1
 
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
+    def on_departure(self, time: Num, item: Arrival, bin: "Bin", closed: bool) -> None:
         if closed:
             self._settle(bin)
 

@@ -62,8 +62,11 @@ CHECKPOINT_VERSION = 1
 #: :meth:`StreamCheckpoint.from_json` with a typed
 #: :class:`~repro.core.validation.CheckpointSchemaError` instead of
 #: mis-restoring.  Bumped to 2 when ``schema_version`` stamping and exact
-#: ``Fraction`` tagging were added.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: ``Fraction`` tagging were added, and to 3 when the bundled observers
+#: stopped saving open times and sessions (they read both from the engine's
+#: bins and arrival views), so a v2 payload would restore wrong observer
+#: state.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

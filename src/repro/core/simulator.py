@@ -321,7 +321,7 @@ class Simulator:
             self._bins.update(target)
         self.algorithm.on_item_departed(item_id, target)
         for observer in self.observers:
-            observer.on_departure(time, item_id, target, target.is_closed)
+            observer.on_departure(time, view, target, target.is_closed)
         if self._record:
             self._finalized.append(
                 Item(

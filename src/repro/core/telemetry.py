@@ -1,16 +1,17 @@
-"""Observer hooks and live telemetry for the simulator.
+"""Observer hooks of the simulator.
 
 Production dispatchers want running statistics without post-processing a
 finished :class:`~repro.core.result.PackingResult`.  An observer receives a
-callback at every placement, departure, bin opening and bin closing; the
-bundled :class:`TelemetryCollector` maintains the open-bin/active-item time
-series, running cost, and peak statistics incrementally, and is verified
-against the post-hoc result in the tests.
+callback at every placement, departure, migration and server failure, with
+the bins involved.  Open time lives in one place: each :class:`~repro.core.bin.Bin`
+carries its own ``opened_at`` and ``capacity``, and the engine sums closed
+bins' usage, so observers read those rather than keeping their own copies.
+:mod:`repro.obs` builds the metrics, tracing and flight-recorder observers
+on these hooks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .numeric import Num
@@ -19,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..algorithms.base import Arrival
     from .bin import Bin
 
-__all__ = ["SimulationObserver", "TelemetryCollector"]
+__all__ = ["SimulationObserver"]
 
 
 class SimulationObserver:
@@ -28,8 +29,14 @@ class SimulationObserver:
     def on_arrival(self, time: Num, item: "Arrival", bin: "Bin", opened: bool) -> None:
         """Item placed into ``bin``; ``opened`` if the bin is brand new."""
 
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
-        """Item left ``bin``; ``closed`` if the bin emptied and closed."""
+    def on_departure(self, time: Num, item: "Arrival", bin: "Bin", closed: bool) -> None:
+        """``item`` left ``bin``; ``closed`` if the bin emptied and closed.
+
+        ``item`` is the departing session's :class:`~repro.algorithms.base.Arrival`
+        view — the same object :meth:`on_arrival` received — so its size and
+        arrival time need no copy on the observer's side.  ``bin`` is observed
+        after the removal: its level no longer includes ``item``.
+        """
 
     def on_server_failure(
         self, time: Num, bin: "Bin", evicted: Sequence["Arrival"]
@@ -63,7 +70,7 @@ class SimulationObserver:
     def checkpoint_state(self) -> Any:
         """JSON-serializable snapshot of this observer's state (or ``None``).
 
-        Observers that accumulate state (billing meters, telemetry) override
+        Observers that accumulate state (billing meters, metrics) override
         this together with :meth:`restore_state` so streamed runs can
         checkpoint and resume exactly (see :mod:`repro.core.checkpoint`).
         The default returns ``None`` — nothing to save.
@@ -72,145 +79,3 @@ class SimulationObserver:
 
     def restore_state(self, state: Any) -> None:
         """Restore the state captured by :meth:`checkpoint_state`."""
-
-
-@dataclass
-class TelemetryCollector(SimulationObserver):
-    """Running statistics maintained event by event.
-
-    ``accrued_cost(now)`` is exact at any instant: closed bins contribute
-    their full usage, open bins their usage so far.
-    """
-
-    cost_rate: Num = 1
-
-    num_arrivals: int = 0
-    num_departures: int = 0
-    bins_opened: int = 0
-    bins_closed: int = 0
-    #: Bins revoked mid-run by server failures (disjoint from bins_closed).
-    servers_failed: int = 0
-    #: Active sessions evicted by those failures.
-    sessions_evicted: int = 0
-    #: Sessions moved between bins by a bounded-migration repacker.
-    migrations: int = 0
-    open_bins: int = 0
-    active_items: int = 0
-    peak_open_bins: int = 0
-    peak_active_items: int = 0
-    #: (time, open-bin count) breakpoints, appended when the count changes.
-    open_bins_series: list[tuple[Num, int]] = field(default_factory=list)
-    _closed_bin_time: Num = 0
-    _open_since: dict[int, Num] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------ hooks
-
-    def on_arrival(self, time: Num, item: "Arrival", bin: "Bin", opened: bool) -> None:
-        self.num_arrivals += 1
-        self.active_items += 1
-        self.peak_active_items = max(self.peak_active_items, self.active_items)
-        if opened:
-            self.bins_opened += 1
-            self.open_bins += 1
-            self.peak_open_bins = max(self.peak_open_bins, self.open_bins)
-            self._open_since[bin.index] = time
-            self._record(time)
-
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
-        self.num_departures += 1
-        self.active_items -= 1
-        if closed:
-            self.bins_closed += 1
-            self.open_bins -= 1
-            opened_at = self._open_since.pop(bin.index)
-            self._closed_bin_time = self._closed_bin_time + (time - opened_at)
-            self._record(time)
-
-    def on_server_failure(
-        self, time: Num, bin: "Bin", evicted: Sequence["Arrival"]
-    ) -> None:
-        self.servers_failed += 1
-        self.sessions_evicted += len(evicted)
-        self.active_items -= len(evicted)
-        self.open_bins -= 1
-        opened_at = self._open_since.pop(bin.index)
-        self._closed_bin_time = self._closed_bin_time + (time - opened_at)
-        self._record(time)
-
-    def on_migration(
-        self,
-        time: Num,
-        item: "Arrival",
-        from_bin: "Bin",
-        to_bin: "Bin",
-        from_closed: bool,
-        to_opened: bool,
-    ) -> None:
-        self.migrations += 1
-        if to_opened:
-            self.bins_opened += 1
-            self.open_bins += 1
-            self.peak_open_bins = max(self.peak_open_bins, self.open_bins)
-            self._open_since[to_bin.index] = time
-        if from_closed:
-            self.bins_closed += 1
-            self.open_bins -= 1
-            opened_at = self._open_since.pop(from_bin.index)
-            self._closed_bin_time = self._closed_bin_time + (time - opened_at)
-        if to_opened or from_closed:
-            self._record(time)
-
-    def _record(self, time: Num) -> None:
-        self.open_bins_series.append((time, self.open_bins))
-
-    # ----------------------------------------------------------- checkpointing
-
-    def checkpoint_state(self) -> dict[str, Any]:
-        return {
-            "num_arrivals": self.num_arrivals,
-            "num_departures": self.num_departures,
-            "bins_opened": self.bins_opened,
-            "bins_closed": self.bins_closed,
-            "servers_failed": self.servers_failed,
-            "sessions_evicted": self.sessions_evicted,
-            "migrations": self.migrations,
-            "open_bins": self.open_bins,
-            "active_items": self.active_items,
-            "peak_open_bins": self.peak_open_bins,
-            "peak_active_items": self.peak_active_items,
-            "open_bins_series": [list(p) for p in self.open_bins_series],
-            "closed_bin_time": self._closed_bin_time,
-            "open_since": {str(k): v for k, v in self._open_since.items()},
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        for name in (
-            "num_arrivals",
-            "num_departures",
-            "bins_opened",
-            "bins_closed",
-            "servers_failed",
-            "sessions_evicted",
-            "open_bins",
-            "active_items",
-            "peak_open_bins",
-            "peak_active_items",
-        ):
-            setattr(self, name, state[name])
-        self.migrations = state.get("migrations", 0)
-        self.open_bins_series = [(p[0], p[1]) for p in state["open_bins_series"]]
-        self._closed_bin_time = state["closed_bin_time"]
-        self._open_since = {int(k): v for k, v in state["open_since"].items()}
-
-    # ---------------------------------------------------------------- queries
-
-    def accrued_cost(self, now: Num) -> Num:
-        """Exact cost accrued up to ``now`` (open bins billed to ``now``)."""
-        running: Num = 0
-        for opened_at in self._open_since.values():
-            running = running + (now - opened_at)
-        return (self._closed_bin_time + running) * self.cost_rate
-
-    @property
-    def completed_sessions(self) -> int:
-        return self.num_departures

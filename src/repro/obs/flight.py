@@ -16,12 +16,12 @@ Two pieces:
   counted, never silent.  :meth:`FlightRecorder.dump` writes a header
   record (schema, reason, capacity, drop count, kept-sequence window)
   followed by the kept records, oldest first.
-* :class:`FlightObserver` — a :class:`~repro.core.telemetry.SimulationObserver`
-  that feeds lifecycle spans into the ring using **exactly** the
-  :class:`~repro.obs.tracing.LifecycleTracer` record rendering, so the
-  ring's span records are byte-identical to the corresponding lines of a
-  full trace.  It checkpoints its open-bin state, so spans recorded
-  after a crash/resume continue the pre-crash story exactly.
+* :class:`FlightObserver` — a :class:`~repro.obs.tracing.LifecycleTracer`
+  whose sink is the ring, so the ring's span records are the tracer's own
+  lines, byte-identical to the corresponding lines of a full trace.  Close
+  records read ``opened_at`` from the bin, so spans recorded after a
+  crash/resume continue the pre-crash story exactly with no observer
+  state carried over.
 
 Crash/resume exactness: the supervisor marks the ring at every persisted
 generation (:meth:`FlightRecorder.note_checkpoint`) and, when an attempt
@@ -39,15 +39,12 @@ import json
 import signal
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.numeric import Num
-from ..core.telemetry import SimulationObserver
-from .tracing import _encode, _esc, _jnum
+from .tracing import LifecycleTracer, _encode
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..algorithms.base import Arrival
-    from ..core.bin import Bin
+    from ..core.streaming import StreamSummary
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
@@ -63,7 +60,9 @@ FLIGHT_SCHEMA_VERSION = 1
 
 #: Record kinds that belong to the lifecycle-span story (and therefore
 #: byte-match trace lines); everything else is flight-plane metadata.
-SPAN_KINDS = frozenset({"open", "place", "depart", "evict", "failure", "close"})
+SPAN_KINDS = frozenset(
+    {"open", "place", "depart", "evict", "failure", "migrate", "close"}
+)
 
 
 class FlightRecorder:
@@ -232,94 +231,32 @@ def iter_flight_records(path: str | Path) -> list[dict[str, Any]]:
     return out
 
 
-class FlightObserver(SimulationObserver):
-    """Feeds lifecycle spans into a :class:`FlightRecorder`.
+class FlightObserver(LifecycleTracer):
+    """A :class:`~repro.obs.tracing.LifecycleTracer` that writes into a
+    :class:`FlightRecorder` ring.
 
-    The record strings are rendered with the same canonical literals as
-    :class:`~repro.obs.tracing.LifecycleTracer` (same key order, same
-    number formatting), so ``recorder.span_lines()`` byte-matches the
-    corresponding window of a full trace file.  Open-bin state rides in
-    checkpoints, so close records after a resume still carry the right
-    ``opened_at``.
+    The hooks, and so the record rendering, are the tracer's own:
+    ``recorder.span_lines()`` byte-matches the corresponding window of a
+    full trace file, migrations included.  The ring keeps only the run's
+    recent story, so it gets neither the trace header nor the summary
+    trailer.  The observer checkpoints nothing: the ring outlives the
+    attempt, and close records read ``opened_at`` from the bin.
     """
 
     def __init__(self, recorder: FlightRecorder) -> None:
+        # LifecycleTracer.__init__ is skipped on purpose: the ring needs no
+        # file, header or checkpoint count.  The hooks reach the ring through
+        # _emit_line; finish and the checkpoint methods are replaced below.
         self.recorder = recorder
-        self._opened_at: dict[int, Num] = {}
 
-    # ------------------------------------------------------------------ hooks
+    def _emit_line(self, kind: str, line: str) -> None:
+        self.recorder.record_line(kind, line)
 
-    def on_arrival(self, time: Num, item: "Arrival", bin: "Bin", opened: bool) -> None:
-        t = _jnum(time)
-        b = bin.index
-        if opened:
-            self._opened_at[b] = time
-            self.recorder.record_line(
-                "open",
-                f'{{"bin":{b},"capacity":{_jnum(bin.capacity)},"kind":"open",'
-                f'"span":"bin:{b}","t":{t}}}',
-            )
-        item_id = item.item_id
-        if item.tag is None:
-            self.recorder.record_line(
-                "place",
-                f'{{"bin":{b},"item":{_esc(item_id)},"kind":"place",'
-                f'"parent":"bin:{b}","size":{_jnum(item.size)},'
-                f'"span":{_esc("session:" + item_id)},"t":{t}}}',
-            )
-        else:
-            self.recorder.record(
-                {
-                    "kind": "place",
-                    "t": time,
-                    "item": item_id,
-                    "size": item.size,
-                    "bin": b,
-                    "span": f"session:{item_id}",
-                    "parent": f"bin:{b}",
-                    "tag": item.tag,
-                }
-            )
+    def finish(self, summary: "StreamSummary") -> None:
+        """Write nothing: the ring takes no summary trailer."""
 
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
-        self.recorder.record_line(
-            "depart",
-            f'{{"bin":{bin.index},"item":{_esc(item_id)},"kind":"depart",'
-            f'"span":{_esc("session:" + item_id)},"t":{_jnum(time)}}}',
-        )
-        if closed:
-            self._close(time, bin.index, "drain")
+    def checkpoint_state(self) -> Any:
+        return None
 
-    def on_server_failure(
-        self, time: Num, bin: "Bin", evicted: Sequence["Arrival"]
-    ) -> None:
-        t = _jnum(time)
-        b = bin.index
-        ids = ",".join(_esc(view.item_id) for view in evicted)
-        self.recorder.record_line(
-            "failure", f'{{"bin":{b},"evicted":[{ids}],"kind":"failure","t":{t}}}'
-        )
-        for view in evicted:
-            self.recorder.record_line(
-                "evict",
-                f'{{"bin":{b},"item":{_esc(view.item_id)},"kind":"evict",'
-                f'"span":{_esc("session:" + view.item_id)},"t":{t}}}',
-            )
-        self._close(time, b, "failure")
-
-    def _close(self, time: Num, index: int, reason: str) -> None:
-        opened_at = self._opened_at.pop(index)
-        self.recorder.record_line(
-            "close",
-            f'{{"bin":{index},"kind":"close","opened_at":{_jnum(opened_at)},'
-            f'"reason":"{reason}","span":"bin:{index}","t":{_jnum(time)}}}',
-        )
-
-    # ----------------------------------------------------------- checkpointing
-
-    def checkpoint_state(self) -> dict[str, Any]:
-        """Open-bin state only — the ring itself outlives the attempt."""
-        return {"opened_at": {str(k): v for k, v in self._opened_at.items()}}
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        self._opened_at = {int(k): v for k, v in state["opened_at"].items()}
+    def restore_state(self, state: Any) -> None:
+        """Nothing to restore: :meth:`checkpoint_state` saves nothing."""

@@ -307,7 +307,7 @@ class LiveExportObserver(SimulationObserver):
             self._open_bins += 1
         self._tick()
 
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
+    def on_departure(self, time: Num, item: "Arrival", bin: "Bin", closed: bool) -> None:
         if closed:
             self._open_bins -= 1
         self._tick()
@@ -317,6 +317,21 @@ class LiveExportObserver(SimulationObserver):
     ) -> None:
         self._open_bins -= 1
         self._tick()
+
+    def on_migration(
+        self,
+        time: Num,
+        item: "Arrival",
+        from_bin: "Bin",
+        to_bin: "Bin",
+        from_closed: bool,
+        to_opened: bool,
+    ) -> None:
+        # A move is not an engine event: keep the tally, skip the tick.
+        if to_opened:
+            self._open_bins += 1
+        if from_closed:
+            self._open_bins -= 1
 
     def _tick(self) -> None:
         self._events += 1

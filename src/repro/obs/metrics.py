@@ -15,8 +15,9 @@ Design constraints, in order:
    series, ``_sum``/``_count``), so the artifacts feed dashboards
    without a schema side-channel.
 
-Values must be JSON-representable numbers (``int``/``float``) — the same
-contract :mod:`repro.core.checkpoint` imposes on everything it snapshots.
+Values are numbers.  Exact-arithmetic runs feed ``Fraction`` values: they
+stay exact in snapshots and checkpoints, and the JSON and Prometheus
+exports render them as floats.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
+from fractions import Fraction
 from typing import Any, Iterator
 
 __all__ = [
@@ -296,7 +298,9 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """Byte-stable JSON rendering of :meth:`snapshot`."""
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(
+            self.snapshot(), sort_keys=True, separators=(",", ":"), default=float
+        )
 
     def to_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4).
@@ -373,6 +377,8 @@ class MetricsRegistry:
 
 def _fmt(value: float) -> str:
     """Prometheus number rendering: integers without the trailing ``.0``."""
+    if isinstance(value, Fraction):
+        value = float(value)
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)

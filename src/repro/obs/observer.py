@@ -8,8 +8,10 @@ bins were when a failure struck — *are* the cost decomposition.  Everything
 is measured in simulation time, so snapshots are deterministic and
 byte-stable under a fixed seed (asserted in CI).
 
-The observer keeps O(active) private state (per-open-bin level integrals,
-per-active-session arrival/size) and implements
+The observer reads open time and capacity from each :class:`~repro.core.bin.Bin`
+and session sizes and arrivals from the hooks' :class:`~repro.algorithms.base.Arrival`
+views, so the only private state it keeps is what nothing else knows: the
+registry and, per open bin, the running level-time integral.  It implements
 ``checkpoint_state``/``restore_state``, so metrics survive a streamed-run
 checkpoint/resume exactly: the resumed snapshot equals the uninterrupted
 run's.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.numeric import Num
+from ..core.resources import Resources, Size
 from ..core.telemetry import SimulationObserver
 from .metrics import (
     PROBE_BUCKETS,
@@ -35,6 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MetricsObserver"]
 
 
+def _share(part: Any, whole: Any) -> Num:
+    """``part / whole`` of two sizes; for vectors, the largest per-dimension share."""
+    if isinstance(part, Resources):
+        return max(p / w for p, w in zip(part, whole))
+    return part / whole
+
+
 class MetricsObserver(SimulationObserver):
     """Populates a :class:`~repro.obs.metrics.MetricsRegistry` from engine hooks.
 
@@ -42,9 +52,9 @@ class MetricsObserver(SimulationObserver):
 
     * ``dbp_sessions_started_total`` / ``dbp_sessions_completed_total`` —
       placements and natural departures.
-    * ``dbp_bins_opened_total`` / ``dbp_bins_closed_total`` — bin lifecycle
-      (failure revocations are counted separately, mirroring
-      :class:`~repro.core.telemetry.TelemetryCollector`).
+    * ``dbp_bins_opened_total`` / ``dbp_bins_closed_total`` — bin lifecycle,
+      including bins a migration opens or empties (failure revocations are
+      counted separately).
     * ``dbp_server_failures_total`` / ``dbp_sessions_evicted_total`` —
       fault activity.
     * ``dbp_rejections_total`` — admission rejections, recorded by the
@@ -61,6 +71,9 @@ class MetricsObserver(SimulationObserver):
       vector-DBP evaluation literature reports.
     * ``dbp_item_size_fraction`` — item size as a fraction of its bin's
       capacity.
+
+    For vector (:class:`~repro.core.resources.Resources`) sizes, a fraction
+    of capacity is the largest per-dimension share — the bin's bottleneck.
 
     Pass a shared registry to co-locate these with profiling counters, or
     let the observer create its own.
@@ -125,10 +138,9 @@ class MetricsObserver(SimulationObserver):
             "Candidate bins examined per placement decision",
             buckets=PROBE_BUCKETS,
         )
-        #: bin.index -> [opened_at, last_event_time, level_time_integral, capacity]
-        self._bin_stats: dict[int, list[Num]] = {}
-        #: item_id -> (size, arrival)
-        self._sessions: dict[str, tuple[Num, Num]] = {}
+        #: bin.index -> [last_event_time, level_time_integral]; the integral
+        #: is a Resources vector when sizes are
+        self._bin_stats: dict[int, list[Any]] = {}
 
     # ------------------------------------------------------------------ hooks
 
@@ -138,32 +150,22 @@ class MetricsObserver(SimulationObserver):
         self._active.inc()
         self._sim_time.set(time)
         if opened:
-            self._bins_opened.inc()
-            self._open_bins.inc()
-            self._bin_stats[bin.index] = [time, time, 0.0, bin.capacity]
+            self._open_bin(bin.index, time)
         else:
-            stats = self._bin_stats[bin.index]
-            level_before = bin.level - item.size
-            stats[2] = stats[2] + level_before * (time - stats[1])
-            stats[1] = time
-        self._item_size.observe(item.size / bin.capacity)
-        self._sessions[item.item_id] = (item.size, time)
+            self._accrue(bin.index, time, bin.level - item.size)
+        self._item_size.observe(_share(item.size, bin.capacity))
 
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
+    def on_departure(self, time: Num, item: "Arrival", bin: "Bin", closed: bool) -> None:
         self._events.inc()
         self._completed.inc()
         self._active.dec()
         self._sim_time.set(time)
-        size, arrival = self._sessions.pop(item_id)
-        self._session_duration.observe(time - arrival)
-        stats = self._bin_stats[bin.index]
-        level_before = bin.level + size  # the bin is observed after removal
-        stats[2] = stats[2] + level_before * (time - stats[1])
-        stats[1] = time
+        self._session_duration.observe(time - item.arrival)
+        # the bin is observed after removal
+        self._accrue(bin.index, time, bin.level + item.size)
         if closed:
             self._bins_closed.inc()
-            self._open_bins.dec()
-            self._close_bin(bin.index, time)
+            self._close_bin(bin)
 
     def on_server_failure(
         self, time: Num, bin: "Bin", evicted: Sequence["Arrival"]
@@ -173,22 +175,50 @@ class MetricsObserver(SimulationObserver):
         self._evicted.inc(len(evicted))
         self._active.dec(len(evicted))
         self._sim_time.set(time)
-        self._open_bins.dec()
-        level_before: Num = 0
+        level_before: Size = 0
         for view in evicted:
-            del self._sessions[view.item_id]
             level_before = level_before + view.size
-        stats = self._bin_stats[bin.index]
-        stats[2] = stats[2] + level_before * (time - stats[1])
-        stats[1] = time
-        self._close_bin(bin.index, time)
+        self._accrue(bin.index, time, level_before)
+        self._close_bin(bin)
 
-    def _close_bin(self, index: int, time: Num) -> None:
-        opened_at, _, level_time, capacity = self._bin_stats.pop(index)
-        lifetime = time - opened_at
+    def on_migration(
+        self,
+        time: Num,
+        item: "Arrival",
+        from_bin: "Bin",
+        to_bin: "Bin",
+        from_closed: bool,
+        to_opened: bool,
+    ) -> None:
+        # Not a session start or end, and not an engine event: only the
+        # two bins' lifecycles and level integrals move.
+        self._accrue(from_bin.index, time, from_bin.level + item.size)
+        if from_closed:
+            self._bins_closed.inc()
+            self._close_bin(from_bin)
+        if to_opened:
+            self._open_bin(to_bin.index, time)
+        else:
+            self._accrue(to_bin.index, time, to_bin.level - item.size)
+
+    def _open_bin(self, index: int, time: Num) -> None:
+        self._bins_opened.inc()
+        self._open_bins.inc()
+        self._bin_stats[index] = [time, 0.0]
+
+    def _accrue(self, index: int, time: Num, level_before: Size) -> None:
+        """Add ``level_before`` held since the bin's last event to its integral."""
+        stats = self._bin_stats[index]
+        stats[1] = stats[1] + level_before * (time - stats[0])
+        stats[0] = time
+
+    def _close_bin(self, bin: "Bin") -> None:
+        self._open_bins.dec()
+        level_time = self._bin_stats.pop(bin.index)[1]
+        lifetime = bin.usage_length
         self._bin_lifetime.observe(lifetime)
         if lifetime > 0:
-            self._utilization.observe(level_time / (capacity * lifetime))
+            self._utilization.observe(_share(level_time, bin.capacity * lifetime))
 
     # ---------------------------------------------------------------- extras
 
@@ -203,7 +233,7 @@ class MetricsObserver(SimulationObserver):
     # ----------------------------------------------------------- checkpointing
 
     def checkpoint_state(self) -> dict[str, Any]:
-        """Snapshot registry and per-bin/per-session state — and count it.
+        """Snapshot the registry and the open bins' level integrals — and count it.
 
         The checkpoint counter is incremented *here*, before the state is
         rendered, so an interrupted-then-resumed run ends with exactly the
@@ -215,12 +245,8 @@ class MetricsObserver(SimulationObserver):
         return {
             "registry": self.registry.checkpoint_state(),
             "bin_stats": {str(k): list(v) for k, v in self._bin_stats.items()},
-            "sessions": {k: list(v) for k, v in self._sessions.items()},
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self.registry.restore_state(state["registry"])
         self._bin_stats = {int(k): list(v) for k, v in state["bin_stats"].items()}
-        self._sessions = {
-            k: (v[0], v[1]) for k, v in state["sessions"].items()
-        }

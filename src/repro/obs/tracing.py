@@ -8,10 +8,18 @@ transition, span-structured:
 
 * a **bin span** ``bin:<index>`` runs from its ``open`` record to its
   ``close`` record (``reason`` is ``"drain"`` for a last-departure close,
-  ``"failure"`` for a revocation);
+  ``"failure"`` for a revocation, ``"migrate"`` for a source bin a
+  migration emptied);
 * a **session span** ``session:<item_id>`` runs from its ``place`` record
   to its ``depart`` (natural end) or ``evict`` (failure) record, and
-  carries a ``parent`` link to the bin span that hosted it.
+  carries a ``parent`` link to the bin span that hosted it; a ``migrate``
+  record moves it to a new parent.
+
+A migration writes its ``migrate`` record, then the emptied source's
+``close``, then the destination's ``open`` — close before open, the order
+in which the engine retires and adds bins, so replayed peaks agree.  Close
+records take ``opened_at`` from the :class:`~repro.core.bin.Bin` itself,
+so the tracer keeps no open-time ledger of its own.
 
 Records appear in exact engine event order and are rendered with sorted
 keys and no whitespace, so identically-seeded runs produce byte-identical
@@ -30,12 +38,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
-from fractions import Fraction
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
+from ..core.checkpoint import _decode_json, _encode_json
 from ..core.numeric import Num
-from ..core.resources import Resources
 from ..core.streaming import StreamSummary
 from ..core.telemetry import SimulationObserver
 
@@ -53,37 +60,16 @@ __all__ = [
     "verify_trace",
 ]
 
-#: Bumped whenever the record layout changes incompatibly.
+#: Bumped whenever the record layout changes incompatibly (adding a record
+#: kind, as ``migrate`` was, is compatible: older traces replay unchanged).
 TRACE_SCHEMA_VERSION = 1
-
-def _tag_exact(obj: Any) -> Any:
-    """Tag non-JSON numerics exactly as :mod:`repro.core.checkpoint` does.
-
-    Vector sizes/capacities render as ``{"__resources__": [...]}`` and
-    exact rationals as ``{"__fraction__": [num, den]}``, so vector and
-    rational runs trace (and replay) bit for bit alongside scalar ones.
-    """
-    if isinstance(obj, Resources):
-        return {"__resources__": list(obj.values)}
-    if isinstance(obj, Fraction):
-        return {"__fraction__": [obj.numerator, obj.denominator]}
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _untag_exact(obj: dict[str, Any]) -> Any:
-    if len(obj) == 1 and "__resources__" in obj:
-        return Resources(*obj["__resources__"])
-    if len(obj) == 1 and "__fraction__" in obj:
-        num, den = obj["__fraction__"]
-        return Fraction(num, den)
-    return obj
-
 
 #: One shared canonical encoder: ``json.dumps`` with keyword arguments
 #: constructs a fresh ``JSONEncoder`` per call, which is the dominant cost
-#: of emitting a record on the simulator's hot path.
+#: of emitting a record on the simulator's hot path.  Vector sizes and exact
+#: rationals are tagged as in checkpoints, so they trace and replay bit for bit.
 _encode = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False, default=_tag_exact
+    sort_keys=True, separators=(",", ":"), check_circular=False, default=_encode_json
 ).encode
 
 #: Canonical string escaping (quoted, ``\\uXXXX`` for non-ASCII) — the
@@ -159,6 +145,10 @@ class LifecycleTracer(SimulationObserver):
         streaming driver captures a checkpoint (inside
         :meth:`checkpoint_state`, so an interrupted-then-resumed trace
         still concatenates byte-for-byte with the uninterrupted one).
+
+    Every record, header included, reaches the sink through
+    :meth:`_emit_line`; :class:`~repro.obs.flight.FlightObserver` overrides
+    it to feed a flight-recorder ring instead of a file.
     """
 
     def __init__(
@@ -175,7 +165,6 @@ class LifecycleTracer(SimulationObserver):
         self.capacity = capacity
         self.cost_rate = cost_rate
         self.log_checkpoints = log_checkpoints
-        self._opened_at: dict[int, Num] = {}
         self._checkpoints = 0
         self._finished = False
         self._header_written = False
@@ -186,7 +175,16 @@ class LifecycleTracer(SimulationObserver):
     def records_written(self) -> int:
         return self._writer.records_written
 
-    def _ensure_header(self) -> None:
+    def _emit(self, record: dict[str, Any]) -> None:
+        self._emit_line(record["kind"], _encode(record))
+
+    def _emit_line(self, kind: str, line: str) -> None:
+        """Write one canonical record line, after the header on first use.
+
+        Hot path: the hooks pre-render their fixed-key records as literal
+        canonical JSON (keys in sorted order) to skip the
+        dict-build-plus-encode cost per record.
+        """
         if not self._header_written:
             self._header_written = True
             self._writer.write(
@@ -198,16 +196,6 @@ class LifecycleTracer(SimulationObserver):
                     "cost_rate": self.cost_rate,
                 }
             )
-
-    def _emit(self, record: dict[str, Any]) -> None:
-        self._ensure_header()
-        self._writer.write(record)
-
-    def _emit_line(self, line: str) -> None:
-        """Hot path: the hooks pre-render their fixed-key records as
-        literal canonical JSON (keys in sorted order) to skip the
-        dict-build-plus-encode cost per record."""
-        self._ensure_header()
         self._writer.write_line(line)
 
     # ---------------------------------------------------------------- hooks
@@ -216,17 +204,14 @@ class LifecycleTracer(SimulationObserver):
         t = _jnum(time)
         b = bin.index
         if opened:
-            self._opened_at[b] = time
-            self._emit_line(
-                f'{{"bin":{b},"capacity":{_jnum(bin.capacity)},"kind":"open",'
-                f'"span":"bin:{b}","t":{t}}}'
-            )
+            self._open(t, bin)
         item_id = item.item_id
         if item.tag is None:
             self._emit_line(
+                "place",
                 f'{{"bin":{b},"item":{_esc(item_id)},"kind":"place",'
                 f'"parent":"bin:{b}","size":{_jnum(item.size)},'
-                f'"span":{_esc("session:" + item_id)},"t":{t}}}'
+                f'"span":{_esc("session:" + item_id)},"t":{t}}}',
             )
         else:
             # Tags are arbitrary JSON values: take the general encoder.
@@ -243,13 +228,16 @@ class LifecycleTracer(SimulationObserver):
                 }
             )
 
-    def on_departure(self, time: Num, item_id: str, bin: "Bin", closed: bool) -> None:
+    def on_departure(self, time: Num, item: "Arrival", bin: "Bin", closed: bool) -> None:
+        t = _jnum(time)
+        item_id = item.item_id
         self._emit_line(
+            "depart",
             f'{{"bin":{bin.index},"item":{_esc(item_id)},"kind":"depart",'
-            f'"span":{_esc("session:" + item_id)},"t":{_jnum(time)}}}'
+            f'"span":{_esc("session:" + item_id)},"t":{t}}}',
         )
         if closed:
-            self._close(time, bin.index, "drain")
+            self._close(t, bin, "drain")
 
     def on_server_failure(
         self, time: Num, bin: "Bin", evicted: Sequence["Arrival"]
@@ -257,19 +245,54 @@ class LifecycleTracer(SimulationObserver):
         t = _jnum(time)
         b = bin.index
         ids = ",".join(_esc(view.item_id) for view in evicted)
-        self._emit_line(f'{{"bin":{b},"evicted":[{ids}],"kind":"failure","t":{t}}}')
+        self._emit_line("failure", f'{{"bin":{b},"evicted":[{ids}],"kind":"failure","t":{t}}}')
         for view in evicted:
             self._emit_line(
+                "evict",
                 f'{{"bin":{b},"item":{_esc(view.item_id)},"kind":"evict",'
-                f'"span":{_esc("session:" + view.item_id)},"t":{t}}}'
+                f'"span":{_esc("session:" + view.item_id)},"t":{t}}}',
             )
-        self._close(time, b, "failure")
+        self._close(t, bin, "failure")
 
-    def _close(self, time: Num, index: int, reason: str) -> None:
-        opened_at = self._opened_at.pop(index)
+    def on_migration(
+        self,
+        time: Num,
+        item: "Arrival",
+        from_bin: "Bin",
+        to_bin: "Bin",
+        from_closed: bool,
+        to_opened: bool,
+    ) -> None:
+        t = _jnum(time)
+        b = to_bin.index
+        item_id = item.item_id
         self._emit_line(
-            f'{{"bin":{index},"kind":"close","opened_at":{_jnum(opened_at)},'
-            f'"reason":"{reason}","span":"bin:{index}","t":{_jnum(time)}}}'
+            "migrate",
+            f'{{"bin":{b},"from":{from_bin.index},"item":{_esc(item_id)},'
+            f'"kind":"migrate","parent":"bin:{b}",'
+            f'"span":{_esc("session:" + item_id)},"t":{t}}}',
+        )
+        if from_closed:
+            self._close(t, from_bin, "migrate")
+        if to_opened:
+            self._open(t, to_bin)
+
+    def _open(self, t: str, bin: "Bin") -> None:
+        b = bin.index
+        self._emit_line(
+            "open",
+            f'{{"bin":{b},"capacity":{_jnum(bin.capacity)},"kind":"open",'
+            f'"span":"bin:{b}","t":{t}}}',
+        )
+
+    def _close(self, t: str, bin: "Bin", reason: str) -> None:
+        opened_at = bin.opened_at
+        assert opened_at is not None  # a closing bin has opened
+        b = bin.index
+        self._emit_line(
+            "close",
+            f'{{"bin":{b},"kind":"close","opened_at":{_jnum(opened_at)},'
+            f'"reason":"{reason}","span":"bin:{b}","t":{t}}}',
         )
 
     # ---------------------------------------------------------------- finish
@@ -303,13 +326,11 @@ class LifecycleTracer(SimulationObserver):
         if self.log_checkpoints:
             self._emit({"kind": "checkpoint", "n": self._checkpoints})
         return {
-            "opened_at": {str(k): v for k, v in self._opened_at.items()},
             "records": self._writer.records_written,
             "checkpoints": self._checkpoints,
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self._opened_at = {int(k): v for k, v in state["opened_at"].items()}
         self._checkpoints = state["checkpoints"]
         # The resumed sink continues an existing record stream: no header.
         self._header_written = True
@@ -325,11 +346,11 @@ def iter_trace_records(source: str | Path | IO[str] | Iterable[str]) -> Iterator
         with open(source, "r", encoding="utf-8") as handle:
             for line in handle:
                 if line.strip():
-                    yield json.loads(line, object_hook=_untag_exact)
+                    yield json.loads(line, object_hook=_decode_json)
         return
     for line in source:
         if line.strip():
-            yield json.loads(line, object_hook=_untag_exact)
+            yield json.loads(line, object_hook=_decode_json)
 
 
 def replay_summary(
@@ -382,7 +403,7 @@ def replay_summary(
         elif kind == "close":
             open_bins -= 1
             total_bin_time = total_bin_time + (record["t"] - record["opened_at"])
-        elif kind not in ("depart", "evict", "failure"):
+        elif kind not in ("depart", "evict", "failure", "migrate"):
             raise TraceReplayError(f"unknown trace record kind {kind!r}")
     if header is None:
         raise TraceReplayError("trace has no header record")

@@ -100,7 +100,7 @@ class _MonotoneTimeObserver(SimulationObserver):
     def on_arrival(self, time: Num, item: Any, bin: Any, opened: bool) -> None:
         self._observe(time)
 
-    def on_departure(self, time: Num, item_id: str, bin: Any, closed: bool) -> None:
+    def on_departure(self, time: Num, item: Any, bin: Any, closed: bool) -> None:
         self._observe(time)
 
     def checkpoint_state(self) -> Any:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro import BestFit, FirstFit, NextFit, TelemetryCollector, make_items
+from repro import BestFit, FirstFit, NextFit, make_items
 from repro.cloud import dispatch_stream
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -19,6 +19,7 @@ from repro.core.checkpoint import (
 from repro.core.item import Item
 from repro.core.validation import CheckpointFormatError, CheckpointSchemaError
 from repro.core.streaming import simulate_stream
+from repro.obs import MetricsObserver
 from repro.renting import BoundedRepacker
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
 
@@ -89,10 +90,9 @@ class TestResume:
         assert resumed == base
 
     def test_resume_with_observers(self):
-        full = TelemetryCollector()
-        base = simulate_stream(_workload(), FirstFit(), observers=(full,))
+        base = simulate_stream(_workload(), FirstFit())
         sink = []
-        first = TelemetryCollector()
+        first = MetricsObserver()
         simulate_stream(
             _workload(),
             FirstFit(),
@@ -100,15 +100,17 @@ class TestResume:
             checkpoint_every=97,
             on_checkpoint=sink.append,
         )
-        fresh = TelemetryCollector()
+        fresh = MetricsObserver()
         resumed = simulate_stream(
-            _workload(), FirstFit(), observers=(fresh,), resume_from=sink[len(sink) // 2]
+            _workload(),
+            FirstFit(),
+            observers=(fresh,),
+            checkpoint_every=97,
+            on_checkpoint=lambda _cp: None,
+            resume_from=sink[len(sink) // 2],
         )
         assert resumed == base
-        assert fresh.bins_opened == full.bins_opened
-        assert fresh.bins_closed == full.bins_closed
-        assert fresh.num_arrivals == full.num_arrivals
-        assert fresh.open_bins_series == full.open_bins_series
+        assert fresh.registry.snapshot() == first.registry.snapshot()
 
     def test_dispatch_stream_resume_bills_identically(self):
         base = dispatch_stream(_workload(), FirstFit())
@@ -152,7 +154,7 @@ class TestCheckpointErrors:
             simulate_stream(
                 _workload(),
                 FirstFit(),
-                observers=(TelemetryCollector(),),
+                observers=(MetricsObserver(),),
                 resume_from=sink[0],
             )
 
@@ -251,6 +253,15 @@ class TestTypedPayloadErrors:
             StreamCheckpoint.from_json(json.dumps(payload))
         assert excinfo.value.expected == CHECKPOINT_SCHEMA_VERSION
         assert excinfo.value.got == CHECKPOINT_SCHEMA_VERSION + 1
+
+    def test_schema_2_payload_is_refused(self):
+        # Schema 2 observers saved open times and sessions that schema 3
+        # observers read from the engine instead: refuse, don't mis-restore.
+        payload = json.loads(self._json())
+        payload["schema_version"] = 2
+        with pytest.raises(CheckpointSchemaError) as excinfo:
+            StreamCheckpoint.from_json(json.dumps(payload))
+        assert (excinfo.value.expected, excinfo.value.got) == (3, 2)
 
     def test_schema_error_is_a_format_error(self):
         # Callers catching the broad typed error also see schema mismatches.

@@ -105,3 +105,25 @@ class TestMigratingDispatch:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "--migration-factor must be >= 0" in captured.err
+
+
+class TestObservedMigratingDispatch:
+    """``--migration-factor`` keeps its repacker when observers are attached,
+    and the trace the observed run writes replays its moves exactly."""
+
+    def test_traced_run_migrates_and_verifies(self, tmp_path, capsys):
+        trace = tmp_path / "day.json"
+        assert main(["generate", "--kind", "poisson", "--seed", "3",
+                     "--horizon", "50", "--rate", "2", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["dispatch", str(trace), "--migration-factor", "1"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        out_trace = tmp_path / "t.jsonl"
+        assert main(["dispatch", str(trace), "--migration-factor", "1",
+                     "--trace-out", str(out_trace), "--metrics", str(tmp_path / "d")]) == 0
+        observed = capsys.readouterr().out.splitlines()
+        (migrations,) = [line for line in observed if line.startswith("migrations ")]
+        assert int(migrations.split()[1]) > 0
+        # The report matches the unobserved run's, then names the artifacts.
+        assert observed[: len(plain)] == plain
+        assert main(["verify-trace", str(out_trace)]) == 0

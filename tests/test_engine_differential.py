@@ -123,8 +123,8 @@ class _EventLog(SimulationObserver):
     def on_arrival(self, time, item, bin, opened):
         self.events.append((time, EventKind.ARRIVAL, item.item_id))
 
-    def on_departure(self, time, item_id, bin, closed):
-        self.events.append((time, EventKind.DEPARTURE, item_id))
+    def on_departure(self, time, item, bin, closed):
+        self.events.append((time, EventKind.DEPARTURE, item.item_id))
 
 
 def _traces():

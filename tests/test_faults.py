@@ -17,7 +17,7 @@ import math
 
 import pytest
 
-from repro import BestFit, FirstFit, Item, Simulator, TelemetryCollector, make_items, simulate
+from repro import BestFit, FirstFit, Item, Simulator, make_items, simulate
 from repro.cloud import (
     CRASH,
     RECONNECT,
@@ -31,6 +31,7 @@ from repro.cloud import (
 from repro.core.simulator import SimulationError
 from repro.core.streaming import simulate_stream
 from repro.core.telemetry import SimulationObserver
+from repro.obs import MetricsObserver
 from repro.resilience import RetryPolicy
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
 
@@ -81,16 +82,30 @@ class TestFailBin:
             sim.fail_bin(target, 2.0)
 
     def test_observer_hook_fires(self):
-        telemetry = TelemetryCollector()
-        sim = Simulator(FirstFit(), observers=(telemetry,))
+        metrics = MetricsObserver()
+        sim = Simulator(FirstFit(), observers=(metrics,))
         sim.arrive(0.0, 0.4, item_id="a")
         sim.arrive(0.0, 0.4, item_id="b")
         sim.fail_bin(sim.open_bins[0], 3.0)
-        assert telemetry.servers_failed == 1
-        assert telemetry.sessions_evicted == 2
-        assert telemetry.open_bins == 0
-        assert telemetry.active_items == 0
-        assert float(telemetry.accrued_cost(3.0)) == 3.0
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"] == {
+            "dbp_bins_closed_total": 0,  # a revocation is not a drain close
+            "dbp_bins_opened_total": 1,
+            "dbp_checkpoints_total": 0,
+            "dbp_events_processed_total": 3,
+            "dbp_rejections_total": 0,
+            "dbp_server_failures_total": 1,
+            "dbp_sessions_completed_total": 0,
+            "dbp_sessions_evicted_total": 2,
+            "dbp_sessions_started_total": 2,
+        }
+        assert snapshot["gauges"] == {
+            "dbp_active_sessions": {"peak": 2, "value": 0},
+            "dbp_open_bins": {"peak": 1, "value": 0},
+            "dbp_sim_time": {"peak": 3.0, "value": 3.0},
+        }
+        assert snapshot["histograms"]["dbp_bin_lifetime"]["sum"] == 3.0
+        assert sim.finish_summary().total_cost == 3.0
 
 
 class TestInjectorValidation:

@@ -1,6 +1,7 @@
 """Tests for the deterministic metrics registry (`repro.obs.metrics`)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -175,6 +176,20 @@ class TestExports:
         prom = reg.to_prometheus()
         assert "whole 2\n" in prom
         assert "frac 2.5\n" in prom
+
+    def test_exact_values_export_as_floats(self):
+        reg = MetricsRegistry()
+        reg.gauge("t").set(Fraction(7, 2))
+        reg.histogram("share", buckets=(0.5, 1.0)).observe(Fraction(1, 3))
+        snap = reg.snapshot()
+        assert snap["gauges"]["t"]["value"] == Fraction(7, 2)  # exact in memory
+        assert snap["histograms"]["share"]["sum"] == Fraction(1, 3)
+        exported = json.loads(reg.to_json())
+        assert exported["gauges"]["t"] == {"peak": 3.5, "value": 3.5}
+        assert exported["histograms"]["share"]["sum"] == 1 / 3
+        prom = reg.to_prometheus()
+        assert "t 3.5\n" in prom
+        assert f"share_sum {1 / 3!r}\n" in prom
 
 
 class TestCheckpointing:

@@ -2,7 +2,7 @@
 
 import json
 
-from repro import FirstFit, Simulator, make_items, simulate
+from repro import FirstFit, Item, Resources, Simulator, make_items, simulate
 from repro.core.streaming import simulate_stream
 from repro.obs import MetricsObserver, MetricsRegistry
 from repro.workloads import Clipped, Exponential, Uniform
@@ -74,6 +74,15 @@ class TestUtilization:
         assert obs.registry["dbp_bin_lifetime"].count == 1
         assert obs.registry["dbp_bin_lifetime"].sum == 0
         assert obs.registry["dbp_bin_utilization_at_close"].count == 0
+
+    def test_vector_shares_are_the_bottleneck_dimension(self):
+        # A 2-D bin holding (0.2, 0.6) throughout: the fuller dimension sets
+        # both the item's size fraction and the bin's utilization.
+        item = Item(arrival=0, departure=4, size=Resources(0.2, 0.6), item_id="v")
+        obs = MetricsObserver()
+        simulate([item], FirstFit(), capacity=Resources(1, 1), observers=[obs])
+        assert obs.registry["dbp_item_size_fraction"].sum == 0.6
+        assert obs.registry["dbp_bin_utilization_at_close"].sum == 0.6
 
     def test_session_durations_and_size_fractions(self):
         obs = MetricsObserver()
@@ -151,7 +160,6 @@ class TestCheckpointing:
         fresh.restore_state(state)
         assert fresh.registry.to_json() == obs.registry.to_json()
         assert fresh._bin_stats == obs._bin_stats
-        assert fresh._sessions == obs._sessions
 
     def test_resumed_stream_ends_with_identical_snapshot(self):
         """The headline contract: resume mid-stream, end byte-identical."""

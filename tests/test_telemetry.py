@@ -1,11 +1,18 @@
-"""Tests for simulator observers and the telemetry collector."""
+"""Tests for simulator observer hooks and the run counters they feed.
 
-from fractions import Fraction
+Counters come from :class:`~repro.obs.MetricsObserver`; cost comes from the
+engine's one open-time ledger (``Simulator.finish_summary()``), which the
+observer's ``dbp_bin_lifetime`` sum must equal exactly.
+"""
+
+import json
 
 from hypothesis import given, settings
 
-from repro import FirstFit, make_items, simulate
-from repro.core.telemetry import SimulationObserver, TelemetryCollector
+from repro import FirstFit, Simulator, make_items, simulate
+from repro.core.streaming import simulate_stream
+from repro.core.telemetry import SimulationObserver
+from repro.obs import MetricsObserver
 from tests.conftest import exact_items
 
 
@@ -16,8 +23,8 @@ class RecordingObserver(SimulationObserver):
     def on_arrival(self, time, item, bin, opened):
         self.events.append(("arrive", time, item.item_id, bin.index, opened))
 
-    def on_departure(self, time, item_id, bin, closed):
-        self.events.append(("depart", time, item_id, bin.index, closed))
+    def on_departure(self, time, item, bin, closed):
+        self.events.append(("depart", time, item.item_id, bin.index, closed))
 
 
 class TestObserverHooks:
@@ -52,55 +59,53 @@ class TestObserverHooks:
         simulate(items, FirstFit(), observers=[a, b])
         assert a.events == b.events
 
+    def test_departure_receives_the_arrival_view(self):
+        placed = {}
 
-class TestTelemetryCollector:
+        class Views(SimulationObserver):
+            def on_arrival(self, time, item, bin, opened):
+                placed[item.item_id] = item
+
+            def on_departure(self, time, item, bin, closed):
+                assert placed.pop(item.item_id) is item
+                assert not bin.contains(item.item_id)
+
+        simulate(make_items([(0, 4, 0.6), (1, 3, 0.3)]), FirstFit(), observers=[Views()])
+        assert placed == {}
+
+
+class TestRunTelemetry:
     def test_counters_match_result(self):
         items = make_items([(0, 5, 0.5), (1, 3, 0.5), (2, 8, 0.6), (6, 9, 0.2)])
-        tel = TelemetryCollector()
-        result = simulate(items, FirstFit(), observers=[tel])
-        assert tel.num_arrivals == len(items)
-        assert tel.num_departures == len(items)
-        assert tel.bins_opened == result.num_bins_used
-        assert tel.bins_closed == result.num_bins_used
-        assert tel.open_bins == 0
-        assert tel.active_items == 0
-        assert tel.peak_open_bins == result.max_bins_used
+        obs = MetricsObserver()
+        result = simulate(items, FirstFit(), observers=[obs])
+        reg = obs.registry
+        assert reg["dbp_sessions_started_total"].value == len(items)
+        assert reg["dbp_sessions_completed_total"].value == len(items)
+        assert reg["dbp_bins_opened_total"].value == result.num_bins_used
+        assert reg["dbp_bins_closed_total"].value == result.num_bins_used
+        assert reg["dbp_open_bins"].value == 0
+        assert reg["dbp_active_sessions"].value == 0
+        assert reg["dbp_open_bins"].peak == result.max_bins_used
 
-    def test_accrued_cost_final_matches_result(self):
+    def test_final_cost_matches_result(self):
         items = make_items([(0, 5, 0.5), (1, 3, 0.5), (2, 8, 0.6)])
-        tel = TelemetryCollector(cost_rate=2)
-        result = simulate(items, FirstFit(), cost_rate=2, observers=[tel])
-        assert tel.accrued_cost(8) == result.total_cost()
-
-    def test_accrued_cost_mid_flight(self):
-        from repro import Simulator
-
-        tel = TelemetryCollector()
-        sim = Simulator(FirstFit(), observers=[tel])
-        sim.arrive(0, 0.6, item_id="a")
-        sim.arrive(1, 0.6, item_id="b")
-        assert tel.accrued_cost(3) == 3 + 2  # bin0 since 0, bin1 since 1
-        sim.depart("a", 4)
-        assert tel.accrued_cost(5) == 4 + 4
-        sim.depart("b", 6)
-        assert tel.accrued_cost(6) == 4 + 5
-
-    def test_series_breakpoints(self):
-        items = make_items([(0, 4, 0.6), (1, 3, 0.6)])
-        tel = TelemetryCollector()
-        simulate(items, FirstFit(), observers=[tel])
-        assert tel.open_bins_series == [(0, 1), (1, 2), (3, 1), (4, 0)]
+        result = simulate(items, FirstFit(), cost_rate=2)
+        obs = MetricsObserver()
+        summary = simulate_stream(iter(items), FirstFit(), cost_rate=2, observers=[obs])
+        assert summary.total_cost == result.total_cost()
+        assert 2 * obs.registry["dbp_bin_lifetime"].sum == result.total_cost()
 
 
 @given(exact_items())
 @settings(max_examples=40, deadline=None)
 def test_telemetry_consistent_on_random_traces(items):
-    tel = TelemetryCollector()
-    result = simulate(items, FirstFit(), observers=[tel])
-    assert tel.peak_open_bins == result.max_bins_used
-    assert tel.bins_opened == result.num_bins_used
-    end = max(it.departure for it in items)
-    assert tel.accrued_cost(end) == result.total_cost()
+    obs = MetricsObserver()
+    result = simulate(items, FirstFit(), observers=[obs])
+    reg = obs.registry
+    assert reg["dbp_open_bins"].peak == result.max_bins_used
+    assert reg["dbp_bins_opened_total"].value == result.num_bins_used
+    assert reg["dbp_bin_lifetime"].sum == result.total_cost()
 
 
 class TestFailureSettlement:
@@ -108,63 +113,63 @@ class TestFailureSettlement:
     the usual ``closed=True`` departure never fires for a revoked server."""
 
     def _sim(self, cost_rate=1):
-        from repro import Simulator
-
-        tel = TelemetryCollector(cost_rate=cost_rate)
-        sim = Simulator(FirstFit(), cost_rate=cost_rate, record=False, observers=[tel])
-        return tel, sim
+        obs = MetricsObserver()
+        sim = Simulator(FirstFit(), cost_rate=cost_rate, record=False, observers=[obs])
+        return obs, sim
 
     def test_failed_bin_is_billed_to_the_failure_instant(self):
-        tel, sim = self._sim()
+        obs, sim = self._sim()
         sim.arrive(0, 0.6, item_id="a")
         sim.arrive(1, 0.6, item_id="b")  # second bin
         evicted = sim.fail_bin(sim.open_bins[0], 4)
         assert [v.item_id for v in evicted] == ["a"]
-        # bin0 settled at 4-0; bin1 still open, billed to the query instant
-        assert tel.accrued_cost(5) == 4 + 4
+        # bin0's life ended at 4; bin1 is still open
+        assert obs.registry["dbp_bin_lifetime"].sum == 4
         sim.depart("b", 7)
-        assert tel.accrued_cost(7) == 4 + 6
+        assert obs.registry["dbp_bin_lifetime"].sum == 4 + 6
+        assert sim.finish_summary().total_cost == 4 + 6
 
     def test_settlement_matches_engine_summary_exactly(self):
-        tel, sim = self._sim(cost_rate=3)
+        obs, sim = self._sim(cost_rate=3)
         sim.arrive(0, 0.6, item_id="a")
         sim.arrive(1, 0.6, item_id="b")
         sim.fail_bin(sim.open_bins[0], 4)
         sim.depart("b", 7)
         summary = sim.finish_summary()
-        assert tel.accrued_cost(7) == summary.total_cost
-        assert tel.accrued_cost(summary.end_time) == summary.total_cost
+        assert 3 * obs.registry["dbp_bin_lifetime"].sum == summary.total_cost
+        assert summary.total_cost == 3 * (4 + 6)
 
     def test_failure_counters_stay_disjoint_from_drain_closes(self):
-        tel, sim = self._sim()
+        obs, sim = self._sim()
         sim.arrive(0, 0.4, item_id="a")
         sim.arrive(0.5, 0.4, item_id="b")
         sim.arrive(1, 0.9, item_id="c")  # second bin
         sim.fail_bin(sim.open_bins[0], 3)  # evicts a and b together
         sim.depart("c", 6)  # natural drain close
-        assert tel.servers_failed == 1
-        assert tel.sessions_evicted == 2
-        assert tel.bins_opened == 2
-        assert tel.bins_closed == 1  # only c's bin closed by drain
-        assert tel.open_bins == 0
-        assert tel.active_items == 0
-        assert tel.num_departures == 1  # evictions are not departures
+        reg = obs.registry
+        assert reg["dbp_server_failures_total"].value == 1
+        assert reg["dbp_sessions_evicted_total"].value == 2
+        assert reg["dbp_bins_opened_total"].value == 2
+        assert reg["dbp_bins_closed_total"].value == 1  # only c's bin closed by drain
+        assert reg["dbp_open_bins"].value == 0
+        assert reg["dbp_active_sessions"].value == 0
+        # evictions are not departures
+        assert reg["dbp_sessions_completed_total"].value == 1
 
     def test_failure_settlement_survives_checkpoint_round_trip(self):
-        import json
-
-        tel, sim = self._sim()
+        obs, sim = self._sim()
         sim.arrive(0, 0.6, item_id="a")
         sim.arrive(1, 0.6, item_id="b")
         sim.fail_bin(sim.open_bins[0], 4)
-        state = json.loads(json.dumps(tel.checkpoint_state()))
+        state = json.loads(json.dumps(obs.checkpoint_state()))
 
-        restored = TelemetryCollector()
+        restored = MetricsObserver()
         restored.restore_state(state)
-        assert restored.servers_failed == 1
-        assert restored.sessions_evicted == 1
-        assert restored.accrued_cost(6) == tel.accrued_cost(6)
-        # The open bin's meter keeps running after restore, same as the original.
-        restored.on_departure(7, "b", sim.open_bins[0], True)
-        tel.on_departure(7, "b", sim.open_bins[0], True)
-        assert restored.accrued_cost(7) == tel.accrued_cost(7)
+        assert restored.registry.snapshot() == obs.registry.snapshot()
+        # The open bin's level integral keeps running after restore, same
+        # as the original's.
+        open_bin = sim.open_bins[0]
+        (view,) = open_bin.items()
+        sim.depart("b", 7)
+        restored.on_departure(7, view, open_bin, True)
+        assert restored.registry.to_json() == obs.registry.to_json()
