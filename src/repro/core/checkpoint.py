@@ -20,18 +20,26 @@ float addition is order-sensitive), so the final
 run's — asserted by the differential tests.
 
 Scope: checkpoints cover the ``record=False`` streaming mode only (the
-full-history mode would need the entire trace anyway), and values must be
-JSON-representable — ``float``/``int`` times and sizes, JSON-able bin
-labels and item tags.  Algorithms restore via
-:meth:`~repro.algorithms.base.PackingAlgorithm.restore_state`; the stock
-family (FF/BF/MFF/MBF, Next Fit) is exact.
+full-history mode would need the entire trace anyway).  Times may be
+``int``, ``float`` or ``Fraction``; sizes and capacities may also be
+vector :class:`~repro.core.resources.Resources`.  ``Fraction`` and
+``Resources`` values are written as tagged objects and restored exactly.
+Bin labels, item tags and observer, algorithm and repacker state must be
+JSON-representable.  Algorithms
+restore via :meth:`~repro.algorithms.base.PackingAlgorithm.restore_state`;
+the stock family (FF/BF/MFF/MBF, Next Fit) is exact.
+
+Payload layout (schema 4): one JSON object whose ``bins`` and ``active``
+fields are tables of columns, ``{"key": [value, ...], ...}`` with one list
+per row key, all of the same length; in memory they stay tuples of row
+dicts, and :meth:`StreamCheckpoint.from_json` is the one decoder.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -62,11 +70,16 @@ CHECKPOINT_VERSION = 1
 #: :meth:`StreamCheckpoint.from_json` with a typed
 #: :class:`~repro.core.validation.CheckpointSchemaError` instead of
 #: mis-restoring.  Bumped to 2 when ``schema_version`` stamping and exact
-#: ``Fraction`` tagging were added, and to 3 when the bundled observers
-#: stopped saving open times and sessions (they read both from the engine's
-#: bins and arrival views), so a v2 payload would restore wrong observer
-#: state.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: ``Fraction`` tagging were added, to 3 when the bundled observers stopped
+#: saving open times and sessions (they read both from the engine's bins and
+#: arrival views), so a v2 payload would restore wrong observer state, and
+#: to 4 when ``bins`` and ``active`` became tables of columns.
+CHECKPOINT_SCHEMA_VERSION = 4
+
+#: Row keys of the ``bins`` and ``active`` tables: the keys of each
+#: in-memory row dict, and the columns of the schema-4 payload.
+_BIN_COLUMNS = ("index", "capacity", "label", "opened_at", "level")
+_ACTIVE_COLUMNS = ("item_id", "size", "arrival", "tag", "departure", "seq", "bin")
 
 
 class CheckpointError(RuntimeError):
@@ -99,9 +112,12 @@ class StreamCheckpoint:
     peak_open: int
     items_arrived: int
     closed_bin_time: Num
-    #: Open bins in opening order: (index, capacity, label, opened_at, level).
+    #: Open bins in opening order, one dict per bin keyed by
+    #: ``index, capacity, label, opened_at, level``; written as columns.
     bins: tuple[dict[str, Any], ...]
-    #: Active items: (item_id, size, arrival, tag, departure, seq, bin).
+    #: Active items, one dict per session keyed by
+    #: ``item_id, size, arrival, tag, departure, seq, bin`` (``bin`` is the
+    #: ``index`` of a row of ``bins``); written as columns.
     active: tuple[dict[str, Any], ...]
     #: Per-observer ``checkpoint_state()`` payloads, positionally aligned.
     observers: tuple[Any, ...]
@@ -272,13 +288,20 @@ class StreamCheckpoint:
         """Serialize to JSON (floats round-trip exactly).
 
         The payload is stamped with :data:`CHECKPOINT_SCHEMA_VERSION` so a
-        future layout change fails loudly on restore.  Vector
-        sizes/capacities/levels are tagged as ``{"__resources__": [...]}``
-        and exact rationals as ``{"__fraction__": [num, den]}`` so
-        :meth:`from_json` restores :class:`~repro.core.resources.Resources`
-        and :class:`~fractions.Fraction` values bit for bit.
+        future layout change fails loudly on restore.  ``bins`` and
+        ``active`` are written as tables of columns, one list per row key,
+        so a key is written once per table rather than once per session.
+        Vector sizes/capacities/levels are tagged as
+        ``{"__resources__": [...]}`` and exact rationals as
+        ``{"__fraction__": [num, den]}`` so :meth:`from_json` restores
+        :class:`~repro.core.resources.Resources` and
+        :class:`~fractions.Fraction` values bit for bit.
         """
-        payload = asdict(self)
+        # Shallow on purpose: ``dataclasses.asdict`` would deep-copy every
+        # session row only for ``json.dumps`` to walk the copy again.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["bins"] = _columns(self.bins, _BIN_COLUMNS)
+        payload["active"] = _columns(self.active, _ACTIVE_COLUMNS)
         payload["schema_version"] = CHECKPOINT_SCHEMA_VERSION
         return json.dumps(payload, sort_keys=True, default=_encode_json)
 
@@ -287,10 +310,15 @@ class StreamCheckpoint:
         """Parse a :meth:`to_json` payload.
 
         Malformed or truncated input raises a typed
-        :class:`~repro.core.validation.CheckpointFormatError`; a payload
-        written under a different schema version raises
-        :class:`~repro.core.validation.CheckpointSchemaError`.  Neither
-        leaks bare ``json.JSONDecodeError``/``KeyError``/``TypeError``.
+        :class:`~repro.core.validation.CheckpointFormatError` — including a
+        ``bins``/``active`` table with a missing or extra column, columns
+        of different lengths, or a session whose ``bin`` is not in the
+        ``bins`` table; a payload written under a different schema version
+        raises :class:`~repro.core.validation.CheckpointSchemaError`.
+        Neither leaks bare ``json.JSONDecodeError``/``KeyError``/
+        ``TypeError``.  The table checks also keep :meth:`restore` from
+        meeting a missing column or an unknown bin, so a store's verified
+        fallback skips such a generation instead of resuming from it.
         """
         try:
             payload = json.loads(text, object_hook=_decode_json)
@@ -306,14 +334,48 @@ class StreamCheckpoint:
                 expected=CHECKPOINT_SCHEMA_VERSION, got=schema
             )
         try:
-            payload["bins"] = tuple(payload["bins"])
-            payload["active"] = tuple(payload["active"])
+            bins = _rows(payload["bins"], _BIN_COLUMNS, "bins")
+            active = _rows(payload["active"], _ACTIVE_COLUMNS, "active")
+            indices = set(payload["bins"]["index"])
+            if len(indices) != len(bins):
+                raise CheckpointFormatError("the bins table repeats a bin index")
+            if not indices.issuperset(payload["active"]["bin"]):
+                stray = next(row for row in active if row["bin"] not in indices)
+                raise CheckpointFormatError(
+                    f"session {stray['item_id']!r} names bin {stray['bin']!r}, "
+                    "which is not in the bins table"
+                )
+            payload["bins"] = bins
+            payload["active"] = active
             payload["observers"] = tuple(payload["observers"])
             return cls(**payload)
         except (KeyError, TypeError) as exc:
             raise CheckpointFormatError(
                 f"missing or malformed checkpoint fields ({exc})"
             ) from exc
+
+
+def _columns(
+    rows: tuple[dict[str, Any], ...], keys: tuple[str, ...]
+) -> dict[str, list[Any]]:
+    """Transpose row dicts into one list per key."""
+    return {key: [row[key] for row in rows] for key in keys}
+
+
+def _rows(table: Any, keys: tuple[str, ...], name: str) -> tuple[dict[str, Any], ...]:
+    """Transpose a payload table back into row dicts, validating its shape."""
+    if not isinstance(table, dict) or table.keys() != set(keys):
+        found = sorted(table) if isinstance(table, dict) else type(table).__name__
+        raise CheckpointFormatError(
+            f"{name} must hold exactly the columns {list(keys)}, got {found}"
+        )
+    columns = [table[key] for key in keys]
+    if not all(isinstance(column, list) for column in columns):
+        raise CheckpointFormatError(f"every {name} column must be a list")
+    lengths = {key: len(column) for key, column in zip(keys, columns)}
+    if len(set(lengths.values())) > 1:
+        raise CheckpointFormatError(f"{name} columns differ in length: {lengths}")
+    return tuple(dict(zip(keys, values)) for values in zip(*columns))
 
 
 def _encode_json(obj: Any) -> Any:

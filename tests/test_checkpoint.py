@@ -3,12 +3,13 @@ snapshot plus a fresh copy of the same source stream, must produce the exact
 same StreamSummary as the uninterrupted run — same floats, not just close.
 """
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from repro import BestFit, FirstFit, NextFit, make_items
+from repro import BestFit, FirstFit, ModifiedFirstFit, NextFit, make_items
 from repro.cloud import dispatch_stream
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -17,9 +18,10 @@ from repro.core.checkpoint import (
     StreamCheckpoint,
 )
 from repro.core.item import Item
+from repro.core.resources import Resources
 from repro.core.validation import CheckpointFormatError, CheckpointSchemaError
 from repro.core.streaming import simulate_stream
-from repro.obs import MetricsObserver
+from repro.obs import LifecycleTracer, MetricsObserver
 from repro.renting import BoundedRepacker
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
 
@@ -215,6 +217,38 @@ class TestRepackerResumeErrors:
             )
 
 
+def _drop_departure(payload):
+    del payload["active"]["departure"]
+
+
+def _drop_level(payload):
+    del payload["bins"]["level"]
+
+
+def _extra_column(payload):
+    payload["active"]["extra"] = payload["active"]["seq"]
+
+
+def _ragged_columns(payload):
+    payload["active"]["seq"].pop()
+
+
+def _unknown_bin(payload):
+    payload["active"]["bin"][0] = 10**6
+
+
+def _repeated_bin_index(payload):
+    payload["bins"]["index"][1] = payload["bins"]["index"][0]
+
+
+def _column_not_a_list(payload):
+    payload["active"]["tag"] = None
+
+
+def _table_not_an_object(payload):
+    payload["bins"] = []
+
+
 class TestTypedPayloadErrors:
     """Satellites: malformed payloads and schema stamps are typed errors."""
 
@@ -261,7 +295,46 @@ class TestTypedPayloadErrors:
         payload["schema_version"] = 2
         with pytest.raises(CheckpointSchemaError) as excinfo:
             StreamCheckpoint.from_json(json.dumps(payload))
-        assert (excinfo.value.expected, excinfo.value.got) == (3, 2)
+        assert (excinfo.value.expected, excinfo.value.got) == (
+            CHECKPOINT_SCHEMA_VERSION,
+            2,
+        )
+
+    def test_schema_3_payload_is_refused(self):
+        # Schema 3 wrote bins and active as lists of row objects; schema 4
+        # writes tables of columns, and nothing reads the row layout.
+        payload = json.loads(self._json())
+        for name in ("bins", "active"):
+            table = payload[name]
+            payload[name] = [dict(zip(table, row)) for row in zip(*table.values())]
+        assert payload["active"] and "item_id" in payload["active"][0]
+        payload["schema_version"] = 3
+        with pytest.raises(CheckpointSchemaError) as excinfo:
+            StreamCheckpoint.from_json(json.dumps(payload))
+        assert (excinfo.value.expected, excinfo.value.got) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            pytest.param(_drop_departure, "columns", id="missing-active-column"),
+            pytest.param(_drop_level, "columns", id="missing-bins-column"),
+            pytest.param(_extra_column, "columns", id="extra-column"),
+            pytest.param(_ragged_columns, "length", id="ragged-columns"),
+            pytest.param(_unknown_bin, "not in the bins table", id="unknown-bin"),
+            pytest.param(_repeated_bin_index, "repeats a bin index", id="repeated-bin-index"),
+            pytest.param(_column_not_a_list, "must be a list", id="column-not-a-list"),
+            pytest.param(_table_not_an_object, "columns", id="table-not-an-object"),
+        ],
+    )
+    def test_malformed_table_is_format_error(self, tamper, message):
+        # Parsed as is, each of these would reach restore as a bare
+        # KeyError or as merged bins; a checksummed generation like this
+        # must be refused at load so the store falls back.
+        payload = json.loads(self._json())
+        assert len(payload["bins"]["index"]) >= 2 and payload["active"]["bin"]
+        tamper(payload)
+        with pytest.raises(CheckpointFormatError, match=message):
+            StreamCheckpoint.from_json(json.dumps(payload))
 
     def test_schema_error_is_a_format_error(self):
         # Callers catching the broad typed error also see schema mismatches.
@@ -292,3 +365,151 @@ class TestTypedPayloadErrors:
         )
         assert resumed == base
         assert isinstance(resumed.total_cost, Fraction)
+
+
+def _exact_items(n_items=120):
+    return [
+        Item(
+            arrival=Fraction(i, 3),
+            departure=Fraction(i, 3) + Fraction(7, 2) + Fraction(i % 4, 5),
+            size=Fraction(1 + (i % 3), 5),
+            item_id=f"q{i}",
+        )
+        for i in range(n_items)
+    ]
+
+
+def _vector_items(n_items=200):
+    return [
+        Item(
+            arrival=item.arrival,
+            departure=item.departure,
+            size=Resources(item.size, 0.7 - item.size),
+            item_id=item.item_id,
+        )
+        for item in _workload(n_items=n_items)
+    ]
+
+
+#: One way to take checkpoints per kind of state a payload must carry, and a
+#: check that the kind really carries it.
+_KINDS = {
+    "ff-float": (
+        lambda ship: simulate_stream(
+            _workload(), FirstFit(), checkpoint_every=53, on_checkpoint=ship
+        ),
+        lambda cp: isinstance(cp.active[0]["size"], float),
+    ),
+    "bf-float": (
+        lambda ship: simulate_stream(
+            _workload(), BestFit(), checkpoint_every=53, on_checkpoint=ship
+        ),
+        lambda cp: isinstance(cp.bins[0]["level"], float),
+    ),
+    "mff-labels": (
+        lambda ship: simulate_stream(
+            _workload(), ModifiedFirstFit(), checkpoint_every=53, on_checkpoint=ship
+        ),
+        lambda cp: all(b["label"] is not None for b in cp.bins),
+    ),
+    "nf-state": (
+        lambda ship: simulate_stream(
+            _workload(), NextFit(), checkpoint_every=53, on_checkpoint=ship
+        ),
+        lambda cp: cp.algorithm_state is not None,
+    ),
+    "fraction": (
+        lambda ship: simulate_stream(
+            iter(_exact_items()),
+            FirstFit(),
+            capacity=Fraction(1),
+            checkpoint_every=25,
+            on_checkpoint=ship,
+        ),
+        lambda cp: isinstance(cp.active[0]["departure"], Fraction)
+        and isinstance(cp.bins[0]["level"], Fraction),
+    ),
+    "vector": (
+        lambda ship: simulate_stream(
+            iter(_vector_items()),
+            FirstFit(),
+            capacity=Resources(1.0, 1.0),
+            checkpoint_every=41,
+            on_checkpoint=ship,
+        ),
+        lambda cp: isinstance(cp.active[0]["size"], Resources)
+        and isinstance(cp.bins[0]["capacity"], Resources),
+    ),
+    "repacker": (
+        lambda ship: simulate_stream(
+            _workload(n_items=200),
+            FirstFit(),
+            repacker=BoundedRepacker(1),
+            checkpoint_every=53,
+            on_checkpoint=ship,
+        ),
+        lambda cp: cp.repacker_state is not None,
+    ),
+    "observers": (
+        lambda ship: simulate_stream(
+            _workload(),
+            BestFit(),
+            observers=(MetricsObserver(), LifecycleTracer(io.StringIO(), algorithm="best-fit")),
+            checkpoint_every=53,
+            on_checkpoint=ship,
+        ),
+        lambda cp: cp.observers[0]["bin_stats"] and cp.observers[1]["records"],
+    ),
+    "dispatch-meter": (
+        lambda ship: dispatch_stream(
+            _workload(), FirstFit(), checkpoint_every=53, on_checkpoint=ship
+        ),
+        lambda cp: set(cp.observers[-1]) == {"billed", "servers_billed"},
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_KINDS))
+def kind_checkpoints(request):
+    run, carries = _KINDS[request.param]
+    checkpoints = []
+    run(checkpoints.append)
+    assert any(cp.active and carries(cp) for cp in checkpoints), request.param
+    return checkpoints
+
+
+class TestPayloadRoundTrip:
+    """Every kind of checkpoint state survives ``to_json``/``from_json``
+    unchanged, and its bytes depend only on the state."""
+
+    def test_roundtrip_is_identity(self, kind_checkpoints):
+        for checkpoint in kind_checkpoints:
+            text = checkpoint.to_json()
+            assert checkpoint.to_json() == text
+            back = StreamCheckpoint.from_json(text)
+            assert back == checkpoint
+            assert back.to_json() == text
+
+    def test_tables_are_columns(self, kind_checkpoints):
+        for checkpoint in kind_checkpoints:
+            payload = json.loads(checkpoint.to_json())
+            for name, rows, keys in (
+                ("bins", checkpoint.bins, {"index", "capacity", "label", "opened_at", "level"}),
+                (
+                    "active",
+                    checkpoint.active,
+                    {"item_id", "size", "arrival", "tag", "departure", "seq", "bin"},
+                ),
+            ):
+                table = payload[name]
+                assert isinstance(table, dict) and set(table) == keys
+                assert all(set(row) == keys for row in rows)
+                for column in table.values():
+                    assert isinstance(column, list) and len(column) == len(rows)
+                    # No per-session or per-bin object: the only objects
+                    # left are the one-key Fraction/Resources number tags.
+                    assert all(
+                        not isinstance(value, dict)
+                        or set(value) in ({"__fraction__"}, {"__resources__"})
+                        for value in column
+                    )

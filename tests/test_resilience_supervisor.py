@@ -7,6 +7,8 @@ vector-resource traces alike.  Crash recovery must be invisible in the
 results and visible only in RecoveryStats.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from repro.core import Item, Resources
 from repro.core.streaming import simulate_stream
 from repro.obs import MetricsRegistry
 from repro.resilience import (
+    STORE_SCHEMA_VERSION,
     CheckpointStore,
     InjectedCrash,
     RecoveryExhaustedError,
@@ -81,6 +84,18 @@ def _crash_at_every(k):
             raise InjectedCrash(f"killed at generation {generation}")
 
     return hook
+
+
+def _drop_departure(payload):
+    del payload["active"]["departure"]
+
+
+def _drop_level(payload):
+    del payload["bins"]["level"]
+
+
+def _unknown_bin(payload):
+    payload["active"]["bin"][0] = 10**6
 
 
 CASES = [
@@ -234,6 +249,51 @@ class TestRecoveryBehaviour:
         assert supervised.stats.corrupt_generations_skipped == 1
         assert supervised.stats.resumed_generations == (newest - 1,)
         assert supervised.report.summary == base.summary
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(_drop_departure, id="no-departure-column"),
+            pytest.param(_drop_level, id="no-level-column"),
+            pytest.param(_unknown_bin, id="unknown-bin"),
+        ],
+    )
+    def test_checksummed_malformed_generation_is_skipped(self, tmp_path, tamper):
+        # The bytes pass the store's checksum but the payload cannot be
+        # restored: the supervisor must fall back to the good generation 0,
+        # not restart from the bad one until recovery is exhausted.
+        base = simulate_stream(_scalar_items(), BestFit())
+        store = CheckpointStore(tmp_path, keep=3)
+        tampered = []
+
+        def rot_then_crash(generation, checkpoint):
+            if generation == 1:
+                payload = json.loads(checkpoint.to_json())
+                tamper(payload)
+                text = json.dumps(payload, sort_keys=True)
+                envelope = {
+                    "payload": text,
+                    "schema_version": STORE_SCHEMA_VERSION,
+                    "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                }
+                store.path_for(generation).write_text(
+                    json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+                )
+                tampered.append(generation)
+                raise InjectedCrash("killed right after a bad generation 1")
+
+        supervised = supervised_stream(
+            _scalar_items,
+            BestFit,
+            store=store,
+            checkpoint_every=CHECKPOINT_EVERY,
+            checkpoint_hook=rot_then_crash,
+        )
+        assert tampered == [1]
+        assert supervised.stats.crashes == 1
+        assert supervised.stats.resumed_generations == (0,)
+        assert supervised.stats.corrupt_generations_skipped == 1
+        assert supervised.summary == base
 
     def test_metrics_published(self, tmp_path):
         metrics = MetricsRegistry()
