@@ -211,7 +211,10 @@ class StreamCheckpoint:
         ``algorithm`` must be a fresh instance of the checkpointed
         algorithm (matched by registry name); ``observers`` must be fresh
         instances positionally matching the checkpointed ones — their
-        state is restored via ``restore_state``.
+        state is restored via ``restore_state``.  A mismatched run raises
+        :class:`CheckpointError`; a state its owner cannot restore (a
+        ``KeyError``/``TypeError``/``ValueError`` from ``restore_state``)
+        raises :class:`~repro.core.validation.CheckpointFormatError`.
         """
         from ..algorithms.base import Arrival
 
@@ -276,10 +279,19 @@ class StreamCheckpoint:
         sim._peak_open = self.peak_open
         sim._items_arrived = self.items_arrived
         sim._closed_bin_time = self.closed_bin_time
-        for observer, state in zip(observers, self.observers):
-            if state is not None:
-                observer.restore_state(state)
-        algorithm.restore_state(self.algorithm_state, bins_by_index)
+        # A state that decoded but does not fit its owner is a malformed
+        # checkpoint, the same typed error the decoder raises.
+        try:
+            for observer, state in zip(observers, self.observers):
+                if state is not None:
+                    observer.restore_state(state)
+            algorithm.restore_state(self.algorithm_state, bins_by_index)
+        except CheckpointFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(
+                f"checkpoint state does not restore: {type(exc).__name__}: {exc}"
+            ) from exc
         return sim, pending
 
     # ---------------------------------------------------------- serialization

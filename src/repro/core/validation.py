@@ -166,7 +166,9 @@ class CheckpointFormatError(ValueError):
     Raised by :meth:`repro.core.checkpoint.StreamCheckpoint.from_json` for
     malformed or truncated input — invalid JSON, a non-object payload, or
     missing/mistyped fields — instead of leaking the underlying
-    ``json.JSONDecodeError``/``KeyError``/``TypeError``.  ``detail`` holds
+    ``json.JSONDecodeError``/``KeyError``/``TypeError``; and by
+    :meth:`~repro.core.checkpoint.StreamCheckpoint.restore` when a decoded
+    algorithm or observer state does not restore.  ``detail`` holds
     the parser-level description; the original exception rides along as
     ``__cause__``.
     """

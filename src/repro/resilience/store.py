@@ -246,15 +246,19 @@ class CheckpointStore:
                 )
         return tuple(statuses)
 
-    def latest_good(self) -> LatestGood | None:
+    def latest_good(self, below: int | None = None) -> LatestGood | None:
         """The newest generation that verifies, or ``None`` if none does.
 
         Corrupt newer generations are skipped (and reported in
         ``skipped``), never silently restored — the zero-silent-restores
-        invariant the chaos campaign asserts.
+        invariant the chaos campaign asserts.  With ``below``, only
+        generations older than ``below`` are considered (the supervisor's
+        fallback past a generation that loads but cannot be restored).
         """
         skipped: list[GenerationStatus] = []
         for generation in reversed(self.generations()):
+            if below is not None and generation >= below:
+                continue
             try:
                 checkpoint = self.load(generation)
             except (CheckpointIntegrityError, CheckpointFormatError, OSError) as exc:

@@ -44,6 +44,7 @@ from ..core.item import Item
 from ..core.resources import Size
 from ..core.streaming import StreamSummary, simulate_stream
 from ..core.telemetry import SimulationObserver
+from ..core.validation import CheckpointFormatError
 from ..obs.flight import FlightRecorder
 from .store import CheckpointStore
 
@@ -88,7 +89,9 @@ class RecoveryStats:
     checkpoints_written: int
     #: Generation each resuming attempt restarted from, in attempt order.
     resumed_generations: tuple[int, ...]
-    #: Corrupt generations skipped by verified fallback across all resumes.
+    #: Corrupt generations skipped by verified fallback across all resumes:
+    #: those failing verification, and those that verified but could not
+    #: be restored.
     corrupt_generations_skipped: int
 
 
@@ -133,15 +136,32 @@ def _supervise(
     metrics: Any,
     flight: FlightRecorder | None = None,
 ) -> tuple[_R, RecoveryStats]:
-    """The restart loop shared by both supervised entry points."""
+    """The restart loop shared by both supervised entry points.
+
+    Each attempt resumes from the newest generation that verifies and has
+    not failed to restore.  An attempt that resumed from generation ``g``
+    and raised :class:`~repro.core.validation.CheckpointFormatError` (its
+    payload decoded but some state did not restore) marks ``g`` corrupt,
+    whatever ``recover_on`` says: ``g`` counts in
+    ``corrupt_generations_skipped``, not in ``crashes`` (no event ran), and
+    the next attempt falls back to the newest good generation older than
+    ``g``, or starts from scratch.  A mismatched run
+    (:class:`~repro.core.checkpoint.CheckpointError`) is not a corrupt
+    generation and is handled like any other error.
+    """
     if max_restarts < 0:
         raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
     crashes = 0
     written = 0
     corrupt_skipped = 0
     resumed: list[int] = []
+    #: Generations that verified but could not be restored.
+    unrestorable: set[int] = set()
     while True:
         entry = store.latest_good()
+        while entry is not None and entry.generation in unrestorable:
+            corrupt_skipped += len(entry.skipped) + 1
+            entry = store.latest_good(below=entry.generation)
         resume_from: StreamCheckpoint | None = None
         if entry is not None:
             corrupt_skipped += len(entry.skipped)
@@ -161,7 +181,12 @@ def _supervise(
 
         try:
             result = run_attempt(resume_from, sink)
-        except recover_on as exc:
+        except (*recover_on, CheckpointFormatError) as exc:
+            if entry is not None and isinstance(exc, CheckpointFormatError):
+                unrestorable.add(entry.generation)
+                continue
+            if not isinstance(exc, recover_on):
+                raise
             crashes += 1
             if flight is not None:
                 flight.note_fault(exc, attempt=crashes)

@@ -1,29 +1,36 @@
-"""Whole-program static analysis: exactness, effects, determinism.
+"""The static checker: per-file syntax rules and whole-program passes.
 
-The per-file linter (:mod:`repro.tools.lint`, DBP001–DBP010) checks what a
-single AST can prove.  This package owns the properties that need the whole
-program (DBP011–DBP015): it builds a project call graph — methods resolved
-through the class hierarchy, Protocol dispatch fanned out over every
-registered algorithm, observer callbacks over every observer — and runs
-three fixpoint passes over per-file facts:
+The reproduction's headline claims — exact bin-time cost accounting
+(Theorems 1-5), byte-identical seeded replays, float-identical
+checkpoint/resume — rest on invariants ordinary linters do not check.
+This package checks them, DBP001–DBP016, over a project call graph —
+methods resolved through the class hierarchy, Protocol dispatch fanned out
+over every registered algorithm, observer callbacks over every observer —
+in four passes over per-file facts:
 
+* **syntax** — per-file checks run once at extraction: float ``==`` on
+  costs (DBP003), frozen-object mutation resolved project-wide (DBP004),
+  mutable defaults (DBP006), missing ``slots=True`` (DBP007), unjustified
+  suppressions (DBP008), raw size order comparisons (DBP010), engine
+  concurrency imports (DBP016);
 * **exactness** — float-qualifier dataflow proving no *engine-introduced*
   float (literal, ``float()`` cast, ``math.*`` result, ``int/int`` true
   division) reaches a billed-cost expression (DBP011) or a checkpoint
   payload (DBP012);
-* **effects** — interprocedural purity summaries (reads-clock,
-  performs-io, global-rng, mutates-argument/global) upgrading the linter's
-  syntactic hook check to a transitive guarantee over everything reachable
-  from ``SimulationObserver`` hooks and ``choose_bin`` implementations
-  (DBP013);
+* **effects** — one effect extractor (reads-clock, performs-io,
+  global-rng, mutates-argument/global seeds): reported in the engine as
+  DBP001/DBP002/DBP009, as DBP005 for an observer hook's own argument
+  writes, and closed over everything reachable from ``SimulationObserver``
+  hooks and ``choose_bin`` implementations (DBP013);
 * **determinism** — unordered set/dict-listing iteration feeding engine
   decisions or serialized artifacts (DBP014), and parallel worker tasks
   touching shared mutable state (DBP015).
 
-Run it as ``python -m repro.tools.analysis src``; see ``docs/ANALYSIS.md``
-for the rule catalogue and the baseline/suppression workflow.  Extraction
-results are cached by source-content hash, findings can be sanctioned via
-a justified committed baseline, and output is available as human text,
+Run it as ``python -m repro.tools.analysis src tests``; see
+``docs/ANALYSIS.md`` for the rule catalogue and the baseline/suppression
+workflow.  Extraction results are cached by source-content hash, findings
+can be sanctioned inline (``# dbp: noqa[DBPnnn] -- why``) or via a
+justified committed baseline, and output is available as human text,
 deterministic JSON, or SARIF 2.1.0.
 """
 
@@ -38,37 +45,46 @@ from repro.tools.analysis.cache import FactsCache
 from repro.tools.analysis.callgraph import ProjectIndex
 from repro.tools.analysis.catalog import (
     ANALYSIS_RULES,
-    AnalysisRule,
-    DEFAULT_EXACT_PACKAGES,
+    ENGINE_PACKAGES,
+    EXACT_PACKAGES,
     PASSES,
+    SCOPES,
+    AnalysisRule,
     all_codes,
     iter_rules,
+    scope_applies,
 )
 from repro.tools.analysis.cli import main
 from repro.tools.analysis.effects import compute_effect_summaries
-from repro.tools.analysis.engine import (
-    AnalysisReport,
-    analysis_config,
-    analyze_paths,
-    analyze_sources,
-)
+from repro.tools.analysis.engine import AnalysisReport, analyze_paths, analyze_sources
 from repro.tools.analysis.exactness import compute_return_summaries
 from repro.tools.analysis.facts import ModuleFacts, extract_module_facts
 from repro.tools.analysis.sarif import sarif_document, to_sarif
+from repro.tools.analysis.source import (
+    AnalysisConfig,
+    Suppression,
+    Violation,
+    module_name_for,
+    scan_suppressions,
+)
 
 __all__ = [
     "ANALYSIS_RULES",
+    "AnalysisConfig",
     "AnalysisReport",
     "AnalysisRule",
     "BaselineEntry",
     "BaselineError",
-    "DEFAULT_EXACT_PACKAGES",
+    "ENGINE_PACKAGES",
+    "EXACT_PACKAGES",
     "FactsCache",
     "ModuleFacts",
     "PASSES",
     "ProjectIndex",
+    "SCOPES",
+    "Suppression",
+    "Violation",
     "all_codes",
-    "analysis_config",
     "analyze_paths",
     "analyze_sources",
     "apply_baseline",
@@ -78,7 +94,10 @@ __all__ = [
     "iter_rules",
     "load_baseline",
     "main",
+    "module_name_for",
     "render_baseline",
     "sarif_document",
+    "scan_suppressions",
+    "scope_applies",
     "to_sarif",
 ]

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
-from repro.tools.common.violations import Violation
+from repro.tools.analysis.source import Violation
 
 __all__ = [
     "BaselineEntry",

@@ -150,6 +150,12 @@ class ProjectIndex:
                     frontier.append(base_q)
         return names
 
+    def frozen_classes(self) -> frozenset[str]:
+        """Names of frozen dataclasses and ``NamedTuple`` subclasses, project-wide."""
+        return frozenset(
+            name for facts in self.modules.values() for name in facts.frozen_classes
+        )
+
     def is_observer_class(self, class_qualname: str) -> bool:
         """Whether the class transitively subclasses an ``*Observer`` base."""
         klass = self.classes.get(class_qualname)

@@ -1,8 +1,8 @@
-"""Command-line interface: ``python -m repro.tools.analysis src``.
+"""Command-line interface: ``python -m repro.tools.analysis src tests``.
 
-Exit codes mirror the linter: 0 — clean (modulo baseline); 1 — findings
-(or unparsable files); 2 — usage error, unknown pass/rule, or a malformed/
-unjustified baseline.
+Exit codes: 0 — clean (modulo baseline); 1 — findings (or unparsable
+files); 2 — usage error, unknown pass/rule, or a malformed/unjustified
+baseline.
 
 Output formats: ``human`` (one line per finding), ``json`` (the report —
 a pure function of the analyzed sources, so cold- and warm-cache runs are
@@ -26,13 +26,15 @@ from repro.tools.analysis.baseline import (
 )
 from repro.tools.analysis.cache import DEFAULT_CACHE_DIR, FactsCache
 from repro.tools.analysis.catalog import (
-    DEFAULT_EXACT_PACKAGES,
+    ENGINE_PACKAGES,
+    EXACT_PACKAGES,
     PASSES,
     all_codes,
     iter_rules,
 )
-from repro.tools.analysis.engine import analysis_config, analyze_paths
+from repro.tools.analysis.engine import analyze_paths
 from repro.tools.analysis.sarif import to_sarif
+from repro.tools.analysis.source import AnalysisConfig
 
 __all__ = ["main"]
 
@@ -41,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.analysis",
         description=(
-            "Whole-program exactness / effect / determinism analysis "
-            "for the DBP reproduction."
+            "Static checks for the DBP reproduction: per-file syntax rules "
+            "and whole-program exactness / effect / determinism passes."
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")
@@ -145,10 +147,12 @@ def _parse_passes(raw: str | None, parser: argparse.ArgumentParser) -> tuple[str
 
 def _print_rules() -> None:
     print("Passes: " + ", ".join(PASSES))
-    print("Rules (scope 'exact' = " + ", ".join(DEFAULT_EXACT_PACKAGES) + "):")
+    print("Scopes: engine = " + ", ".join(ENGINE_PACKAGES))
+    print("        exact  = " + ", ".join(EXACT_PACKAGES))
+    print("        src    = every repro module but not tests; all = everything")
     for rule in iter_rules():
         print(
-            f"  {rule.code}  {rule.name:<32} [{rule.pass_name:>11}/{rule.scope}]  "
+            f"  {rule.code}  {rule.name:<32} [{rule.pass_name:>11}/{rule.scope:<6}]  "
             f"{rule.summary}"
         )
 
@@ -166,13 +170,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if not args.paths:
-        parser.error("no paths given (try: python -m repro.tools.analysis src)")
+        parser.error("no paths given (try: python -m repro.tools.analysis src tests)")
     for raw in args.paths:
         if not Path(raw).exists():
             parser.error(f"no such file or directory: {raw}")
 
     passes = _parse_passes(args.only, parser)
-    config = analysis_config(
+    config = AnalysisConfig(
         select=_parse_codes(args.select, parser),
         ignore=_parse_codes(args.ignore, parser) or frozenset(),
     )

@@ -18,17 +18,16 @@ enclosing scope.
 from __future__ import annotations
 
 from repro.tools.analysis.callgraph import ProjectIndex
-from repro.tools.analysis.catalog import ANALYSIS_RULES, rule_scope_applies
+from repro.tools.analysis.catalog import ANALYSIS_RULES, scope_applies
 from repro.tools.analysis.effects import Witness, compute_effect_summaries
-from repro.tools.common.config import LintConfig
-from repro.tools.common.violations import Violation
+from repro.tools.analysis.source import AnalysisConfig, Violation
 
 __all__ = ["run_determinism_pass"]
 
 
 def run_determinism_pass(
     index: ProjectIndex,
-    config: LintConfig,
+    config: AnalysisConfig,
     summaries: dict[str, dict[str, Witness]] | None = None,
 ) -> list[Violation]:
     if summaries is None:
@@ -40,13 +39,13 @@ def run_determinism_pass(
     return violations
 
 
-def _unordered_iteration(index: ProjectIndex, config: LintConfig) -> list[Violation]:
+def _unordered_iteration(index: ProjectIndex, config: AnalysisConfig) -> list[Violation]:
     rule = ANALYSIS_RULES["DBP014"]
     if not config.rule_enabled(rule.code):
         return []
     violations: list[Violation] = []
     for module in sorted(index.modules):
-        if not rule_scope_applies(rule, module, config):
+        if not scope_applies(rule.scope, module):
             continue
         facts = index.modules[module]
         for site in facts.iteration_sites:
@@ -76,7 +75,7 @@ def _unordered_iteration(index: ProjectIndex, config: LintConfig) -> list[Violat
 
 def _worker_shared_state(
     index: ProjectIndex,
-    config: LintConfig,
+    config: AnalysisConfig,
     summaries: dict[str, dict[str, Witness]],
 ) -> list[Violation]:
     rule = ANALYSIS_RULES["DBP015"]
@@ -84,7 +83,7 @@ def _worker_shared_state(
         return []
     violations: list[Violation] = []
     for module in sorted(index.modules):
-        if not rule_scope_applies(rule, module, config):
+        if not scope_applies(rule.scope, module):
             continue
         facts = index.modules[module]
         for site in facts.dispatch_sites:

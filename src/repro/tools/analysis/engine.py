@@ -2,8 +2,8 @@
 
 :func:`analyze_paths` is the whole tool behind the CLI; tests drive
 :func:`analyze_sources` with in-memory fixture modules under fake engine
-module names (mirroring ``lint_source``), so every rule can be exercised
-without touching the committed tree.
+module names, so every rule can be exercised without touching the
+committed tree.
 
 The report's :meth:`AnalysisReport.as_json` output is deliberately a pure
 function of the analyzed sources — cache hit/miss counters live on the
@@ -13,38 +13,28 @@ runs emit byte-identical findings (CI diffs them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.tools.analysis.baseline import BaselineEntry, apply_baseline
 from repro.tools.analysis.cache import FactsCache
 from repro.tools.analysis.callgraph import ProjectIndex
-from repro.tools.analysis.catalog import DEFAULT_EXACT_PACKAGES, PASSES
+from repro.tools.analysis.catalog import PASSES
 from repro.tools.analysis.determinism import run_determinism_pass
 from repro.tools.analysis.effects import compute_effect_summaries, run_effects_pass
 from repro.tools.analysis.exactness import run_exactness_pass
 from repro.tools.analysis.facts import ModuleFacts, extract_module_facts
-from repro.tools.common.config import LintConfig
-from repro.tools.common.loader import (
+from repro.tools.analysis.source import (
+    AnalysisConfig,
+    Violation,
     apply_suppressions,
     load_source_files,
     parse_source,
 )
-from repro.tools.common.violations import Violation
+from repro.tools.analysis.syntax import run_syntax_pass
 
-__all__ = ["AnalysisReport", "analysis_config", "analyze_paths", "analyze_sources"]
-
-
-def analysis_config(**overrides: object) -> LintConfig:
-    """The analyzer's default configuration.
-
-    ``engine_packages`` holds the *exact* package list (engine + obs +
-    resilience) — the "exact"-scoped rules read it through
-    :func:`repro.tools.analysis.catalog.rule_scope_applies`.
-    """
-    overrides.setdefault("engine_packages", DEFAULT_EXACT_PACKAGES)
-    return LintConfig(**overrides)  # type: ignore[arg-type]
+__all__ = ["AnalysisReport", "analyze_paths", "analyze_sources"]
 
 
 @dataclass(slots=True)
@@ -104,7 +94,7 @@ def _validate_passes(passes: Sequence[str]) -> tuple[str, ...]:
 
 def _run_passes(
     facts: list[ModuleFacts],
-    config: LintConfig,
+    config: AnalysisConfig,
     passes: tuple[str, ...],
 ) -> list[Violation]:
     index = ProjectIndex(facts)
@@ -112,6 +102,8 @@ def _run_passes(
     summaries = None
     if "effects" in passes or "determinism" in passes:
         summaries = compute_effect_summaries(index)
+    if "syntax" in passes:
+        violations.extend(run_syntax_pass(index, config))
     if "exactness" in passes:
         violations.extend(run_exactness_pass(index, config))
     if "effects" in passes:
@@ -147,14 +139,14 @@ def _finish_report(
 
 def analyze_paths(
     paths: Sequence[str | Path],
-    config: LintConfig | None = None,
+    config: AnalysisConfig | None = None,
     *,
     passes: Sequence[str] = PASSES,
     cache: FactsCache | None = None,
     baseline: Sequence[BaselineEntry] = (),
 ) -> AnalysisReport:
     """Analyze files and directory trees; the CLI is a thin wrapper."""
-    config = config or analysis_config()
+    config = config or AnalysisConfig()
     passes = _validate_passes(passes)
     report = AnalysisReport(passes_run=passes)
     parsed_files, errors = load_source_files(paths, config)
@@ -167,6 +159,9 @@ def analyze_paths(
             if cached is None:
                 cached = extract_module_facts(parsed)
                 cache.put(key, cached)
+            elif cached.path != parsed.path:
+                # The key is path-free: report this run's display path.
+                cached = replace(cached, path=parsed.path)
             facts.append(cached)
         else:
             facts.append(extract_module_facts(parsed))
@@ -179,19 +174,19 @@ def analyze_paths(
 
 def analyze_sources(
     sources: Mapping[str, str],
-    config: LintConfig | None = None,
+    config: AnalysisConfig | None = None,
     *,
     passes: Sequence[str] = PASSES,
     baseline: Sequence[BaselineEntry] = (),
 ) -> AnalysisReport:
     """Analyze in-memory modules (``{module name: source}``).
 
-    This is the test harness's entry point: fixture packages under
-    ``tests/analysis_fixtures/`` (excluded from tree runs) are read and fed
-    through here with fake ``repro.core.*`` module names so "exact"-scoped
-    rules apply, exactly as ``lint_source`` does for the per-file linter.
+    This is the test harness's entry point: fixtures under
+    ``tests/lint_fixtures/`` and ``tests/analysis_fixtures/`` (excluded
+    from tree runs) are read and fed through here with fake ``repro.core.*``
+    module names so engine- and exact-scoped rules apply.
     """
-    config = config or analysis_config()
+    config = config or AnalysisConfig()
     passes = _validate_passes(passes)
     report = AnalysisReport(passes_run=passes)
     facts: list[ModuleFacts] = []

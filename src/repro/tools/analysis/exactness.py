@@ -11,16 +11,15 @@ the return value depends on a call to a function that (transitively) does.
 
 Only *engine-introduced* floats count.  A value that arrives as a float
 from the caller (annotated ``float`` parameter, parsed trace data) is the
-caller's business — the linter's DBP001/DBP008 police those boundaries;
-this pass hunts the conversions the engine itself performs.
+caller's business; this pass hunts the conversions the engine itself
+performs.
 """
 
 from __future__ import annotations
 
 from repro.tools.analysis.callgraph import ProjectIndex
-from repro.tools.analysis.catalog import ANALYSIS_RULES, rule_scope_applies
-from repro.tools.common.config import LintConfig
-from repro.tools.common.violations import Violation
+from repro.tools.analysis.catalog import ANALYSIS_RULES, scope_applies
+from repro.tools.analysis.source import AnalysisConfig, Violation
 
 __all__ = ["compute_return_summaries", "run_exactness_pass"]
 
@@ -63,7 +62,7 @@ def compute_return_summaries(index: ProjectIndex) -> dict[str, str]:
 _SINK_CODES = {"cost": "DBP011", "payload": "DBP012"}
 
 
-def run_exactness_pass(index: ProjectIndex, config: LintConfig) -> list[Violation]:
+def run_exactness_pass(index: ProjectIndex, config: AnalysisConfig) -> list[Violation]:
     summaries = compute_return_summaries(index)
     violations: list[Violation] = []
     for qualname in sorted(index.functions):
@@ -74,7 +73,7 @@ def run_exactness_pass(index: ProjectIndex, config: LintConfig) -> list[Violatio
             rule = ANALYSIS_RULES[code]
             if not config.rule_enabled(code):
                 continue
-            if not rule_scope_applies(rule, fn.module, config):
+            if not scope_applies(rule.scope, fn.module):
                 continue
             noun = "cost sink" if flow.sink == "cost" else "checkpoint payload"
             if flow.introduced:

@@ -13,6 +13,14 @@ Everything here is *local* to one file.  Names that cannot be resolved
 within the file are recorded as unresolved :class:`CallRef` values; the
 symbol table (:mod:`repro.tools.analysis.callgraph`) resolves them across
 the project.
+
+Extraction also runs the syntax pass's per-file checks (DBP003, DBP006,
+DBP007, DBP008, DBP010, DBP016 and the local half of DBP004) and stores
+their findings in the facts, so a warm run re-walks no AST for them
+either.  Every call in the file is classified by one effect extractor
+(:func:`_effect_for_call`): calls inside an extracted function body become
+that function's seeds, everything else — module and class bodies,
+decorators, defaults, import sites — becomes a module-level seed.
 """
 
 from __future__ import annotations
@@ -20,10 +28,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
-from repro.tools.common.loader import SourceFile
-from repro.tools.common.noqa import Suppression
+from repro.tools.analysis.source import SourceFile, Suppression
 
 __all__ = [
     "CallRef",
@@ -31,16 +38,18 @@ __all__ = [
     "ClassFacts",
     "DispatchSite",
     "FlowRecord",
+    "FrozenMutation",
     "FunctionFacts",
     "IterationSite",
     "LocalEffect",
+    "LocalFinding",
     "Loc",
     "ModuleFacts",
     "extract_module_facts",
 ]
 
 #: Bump to invalidate every cached facts pickle (schema change).
-FACTS_SCHEMA_VERSION = 1
+FACTS_SCHEMA_VERSION = 2
 
 
 # --------------------------------------------------------------------------
@@ -144,6 +153,31 @@ class DispatchSite:
 
 
 @dataclass(frozen=True, slots=True)
+class LocalFinding:
+    """A per-file check's finding, before scoping, selection and suppression."""
+
+    code: str
+    message: str
+    loc: Loc
+
+
+@dataclass(frozen=True, slots=True)
+class FrozenMutation:
+    """An attribute store that is DBP004 if one of ``classes`` is frozen.
+
+    ``target`` is ``"self"`` for a store on ``self`` outside the
+    initialisers of class ``classes[0]``, else the annotated variable's name
+    with ``classes`` its annotation identifiers.  Whether a class is frozen
+    is decided over the whole project (:attr:`ModuleFacts.frozen_classes`).
+    """
+
+    target: str
+    attr: str
+    classes: tuple[str, ...]
+    loc: Loc
+
+
+@dataclass(frozen=True, slots=True)
 class FunctionFacts:
     """Local summary of one function, method, or nested function."""
 
@@ -189,6 +223,14 @@ class ModuleFacts:
     mutable_globals: tuple[tuple[str, int], ...]  # name -> def line
     iteration_sites: tuple[IterationSite, ...]
     dispatch_sites: tuple[DispatchSite, ...]
+    #: Effect seeds outside every extracted function body (import sites,
+    #: module and class bodies, decorators, defaults, unextracted defs).
+    module_effects: tuple[LocalEffect, ...]
+    #: Syntax-pass findings (every code, any scope; filtered when reported).
+    findings: tuple[LocalFinding, ...]
+    frozen_mutations: tuple[FrozenMutation, ...]
+    #: Names of frozen dataclasses and ``NamedTuple`` subclasses defined here.
+    frozen_classes: tuple[str, ...]
     suppressions: dict[int, Suppression] = field(default_factory=dict)
 
 
@@ -220,22 +262,12 @@ _WALLCLOCK_TIME_FNS = frozenset(
     }
 )
 _WALLCLOCK_DT_FNS = frozenset({"now", "utcnow", "today"})
-_RNG_OK_ATTRS = frozenset(
-    {
-        "Random",
-        "SystemRandom",
-        "Generator",
-        "SeedSequence",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "MT19937",
-        "SFC64",
-        "default_rng",
-        "RandomState",
-        "seed",
-    }
+#: ``random``/``numpy.random`` attributes that never touch the global RNG.
+_RNG_SEEDED_TYPES = frozenset(
+    {"Generator", "SeedSequence", "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"}
 )
+#: Generator constructors: deterministic only when given a seed argument.
+_RNG_SEEDABLE_CTORS = frozenset({"Random", "SystemRandom", "default_rng", "RandomState"})
 _IO_BUILTINS = frozenset({"print", "input", "open", "breakpoint"})
 _SUBPROCESS_FNS = frozenset({"run", "call", "Popen", "check_output", "check_call"})
 _OS_IO_FNS = frozenset({"system", "popen"})
@@ -353,22 +385,33 @@ def _qual_from_annotation(ann: ast.expr | None) -> str:
     return "unknown"
 
 
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
 def _walk_shallow(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function/class defs."""
-    stack: list[ast.AST] = list(stmts)
+    """Walk statements without descending into nested function/class defs.
+
+    A def that is itself one of ``stmts`` is skipped too: its body belongs
+    to the nested function, not to the body being walked.
+    """
+    stack: list[ast.AST] = [stmt for stmt in stmts if not isinstance(stmt, _SCOPE_NODES)]
     while stack:
         node = stack.pop()
         yield node
         for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-            ):
+            if isinstance(child, _SCOPE_NODES):
                 continue
             stack.append(child)
 
 
 class _Imports:
-    """Module-alias bookkeeping for the effect and exactness seeds."""
+    """Module-alias bookkeeping for the effect and exactness seeds.
+
+    Import statements that bind an effectful name are seeds themselves
+    (``sites``): ``from random import shuffle`` binds the global RNG,
+    ``from time import perf_counter`` a wall-clock reader, ``import
+    logging`` a side channel.
+    """
 
     __slots__ = (
         "random",
@@ -385,6 +428,7 @@ class _Imports:
         "from_random",
         "from_math",
         "aliases",
+        "sites",
     )
 
     def __init__(self, tree: ast.Module) -> None:
@@ -402,6 +446,7 @@ class _Imports:
         self.from_random: set[str] = set()  # global-RNG fns imported by name
         self.from_math: set[str] = set()  # float-returning fns imported by name
         self.aliases: dict[str, str] = {}  # local name -> dotted target
+        self.sites: list[LocalEffect] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -427,32 +472,52 @@ class _Imports:
                         self.subprocess.add(bound)
                     elif base == "logging" or base.startswith("logging."):
                         self.logging.add(bound)
+                        self._site("performs-io", f"import {base}", node)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 mod = node.module or ""
                 for alias in node.names:
                     bound = alias.asname or alias.name
                     self.aliases[bound] = f"{mod}.{alias.name}" if mod else alias.name
+                    imported = f"from {mod} import {alias.name}"
                     if mod == "numpy" and alias.name == "random":
                         self.numpy_random.add(bound)
                     elif mod == "datetime" and alias.name in ("datetime", "date"):
                         self.datetime_cls.add(bound)
                     elif mod == "time" and alias.name in _WALLCLOCK_TIME_FNS:
                         self.from_time.add(bound)
+                        self._site("reads-clock", imported, node)
                     elif mod == "random" and alias.name not in ("Random", "SystemRandom"):
                         self.from_random.add(bound)
+                        self._site("global-rng", imported, node)
                     elif mod in _MATH_MODULES:
                         self.from_math.add(bound)
-                    elif mod == "logging":
+                    elif mod == "logging" or mod.startswith("logging."):
                         self.logging.add(bound)
+                        self._site("performs-io", imported, node)
+
+    def _site(self, effect: str, detail: str, node: ast.AST) -> None:
+        self.sites.append(LocalEffect(effect, detail, _loc(node)))
 
 
 # --------------------------------------------------------------------------
 # Effect seeds
 
 
+def _rng_effect(node: ast.Call, dotted: str, attr: str) -> LocalEffect | None:
+    """``random.<attr>()``/``numpy.random.<attr>()``: global RNG unless seeded."""
+    if attr in _RNG_SEEDED_TYPES:
+        return None
+    if attr in _RNG_SEEDABLE_CTORS:
+        if node.args or node.keywords:
+            return None
+        return LocalEffect("global-rng", f"{dotted}() without a seed", _loc(node))
+    return LocalEffect("global-rng", f"{dotted}()", _loc(node))
+
+
 def _effect_for_call(
-    node: ast.Call, imports: _Imports, params: set[str]
+    node: ast.Call, imports: _Imports, params: AbstractSet[str]
 ) -> LocalEffect | None:
+    """The one effect classifier: clock reads, global-RNG use and side-channel I/O."""
     dotted = _dotted(node.func)
     if dotted is None:
         return None
@@ -477,17 +542,10 @@ def _effect_for_call(
     ):
         return LocalEffect("reads-clock", f"{dotted}()", _loc(node))
     # Global RNG.
-    if len(parts) == 2 and root in imports.random and parts[1] not in _RNG_OK_ATTRS:
-        return LocalEffect("global-rng", f"{dotted}()", _loc(node))
-    if len(parts) == 2 and root in imports.numpy_random and parts[1] not in _RNG_OK_ATTRS:
-        return LocalEffect("global-rng", f"{dotted}()", _loc(node))
-    if (
-        len(parts) == 3
-        and root in imports.numpy
-        and parts[1] == "random"
-        and parts[2] not in _RNG_OK_ATTRS
-    ):
-        return LocalEffect("global-rng", f"{dotted}()", _loc(node))
+    if len(parts) == 2 and (root in imports.random or root in imports.numpy_random):
+        return _rng_effect(node, dotted, parts[1])
+    if len(parts) == 3 and root in imports.numpy and parts[1] == "random":
+        return _rng_effect(node, dotted, parts[2])
     if len(parts) == 1 and root in imports.from_random:
         return LocalEffect("global-rng", f"{dotted}()", _loc(node))
     # Side-channel / ambient I/O.
@@ -509,46 +567,85 @@ def _effect_for_call(
     return None
 
 
+def _walk_effect_scope(
+    stmts: list[ast.stmt], bound: frozenset[str]
+) -> Iterator[tuple[ast.AST, frozenset[str]]]:
+    """:func:`_walk_shallow` that also enters lambda bodies.
+
+    A lambda runs with its enclosing function's bindings, so its effects are
+    the function's; its own parameters shadow ``bound`` inside its body.
+    """
+    stack: list[tuple[ast.AST, frozenset[str]]] = [
+        (stmt, bound) for stmt in stmts if not isinstance(stmt, _SCOPE_NODES)
+    ]
+    while stack:
+        node, names = stack.pop()
+        yield node, names
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Lambda):
+                own = {arg.arg for arg in _param_list(child.args)}
+                stack.append((child.body, names - own))
+                stack.extend(
+                    (default, names)
+                    for default in [*child.args.defaults, *child.args.kw_defaults]
+                    if default is not None
+                )
+            elif not isinstance(child, _SCOPE_NODES):
+                stack.append((child, names))
+
+
 def _collect_effects(
     body: list[ast.stmt],
+    shallow: list[ast.AST],
     imports: _Imports,
     params: set[str],
     module_mutables: set[str],
+    closure: frozenset[str],
+    covered: set[int],
 ) -> list[LocalEffect]:
+    """Seeds of one function body; marks every call it classifies in ``covered``.
+
+    ``closure`` holds the parameters of enclosing functions: a nested
+    function mutating one of them mutates its encloser's argument, and the
+    seed is named after that parameter.
+    """
     effects: list[LocalEffect] = []
     declared_global: set[str] = set()
     local_names: set[str] = set()
-    for node in _walk_shallow(body):
+    for node in shallow:
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     local_names.add(target.id)
+    bound = frozenset(params) | (closure - local_names)
 
-    def _mutation_target(target: ast.expr, node: ast.AST, verb: str) -> None:
+    def _mutation_target(
+        target: ast.expr, node: ast.AST, verb: str, names: frozenset[str]
+    ) -> None:
         if not isinstance(target, (ast.Attribute, ast.Subscript)):
             return
         root = _root_name(target)
         if root is None:
             return
-        if root in params and root != "self":
+        if root in names and root != "self":
             effects.append(
                 LocalEffect(f"mutates-param:{root}", f"{verb} {root}", _loc(node))
             )
         elif (
             root in module_mutables
-            and root not in params
+            and root not in names
             and root not in local_names
         ):
             effects.append(
                 LocalEffect(f"mutates-global:{root}", f"{verb} global {root}", _loc(node))
             )
 
-    for node in _walk_shallow(body):
+    for node, names in _walk_effect_scope(body, bound):
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                _mutation_target(target, node, "assigns into")
+                _mutation_target(target, node, "assigns into", names)
                 if isinstance(target, ast.Name) and target.id in declared_global:
                     effects.append(
                         LocalEffect(
@@ -558,7 +655,7 @@ def _collect_effects(
                         )
                     )
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            _mutation_target(node.target, node, "assigns into")
+            _mutation_target(node.target, node, "assigns into", names)
             if isinstance(node.target, ast.Name) and node.target.id in declared_global:
                 effects.append(
                     LocalEffect(
@@ -569,15 +666,16 @@ def _collect_effects(
                 )
         elif isinstance(node, ast.Delete):
             for target in node.targets:
-                _mutation_target(target, node, "deletes from")
+                _mutation_target(target, node, "deletes from", names)
         elif isinstance(node, ast.Call):
-            effect = _effect_for_call(node, imports, params)
+            covered.add(id(node))
+            effect = _effect_for_call(node, imports, names)
             if effect is not None:
                 effects.append(effect)
             if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATOR_METHODS:
                 root = _root_name(node.func.value)
                 if root is not None:
-                    if root in params and root != "self":
+                    if root in names and root != "self":
                         effects.append(
                             LocalEffect(
                                 f"mutates-param:{root}",
@@ -587,7 +685,7 @@ def _collect_effects(
                         )
                     elif (
                         root in module_mutables
-                        and root not in params
+                        and root not in names
                         and root not in local_names
                     ):
                         effects.append(
@@ -675,13 +773,13 @@ def _make_call_ref(
 
 
 def _collect_calls(
-    body: list[ast.stmt],
+    shallow: list[ast.AST],
     params: set[str],
     local_defs: dict[str, str],
     param_hints: dict[str, tuple[str, ...]],
 ) -> list[CallSite]:
     sites: list[CallSite] = []
-    for node in _walk_shallow(body):
+    for node in shallow:
         if not isinstance(node, ast.Call):
             continue
         ref = _make_call_ref(node, local_defs, param_hints)
@@ -1293,6 +1391,255 @@ def _is_mutable_value(node: ast.expr) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Per-file checks (the syntax pass)
+
+
+#: Modules allowed to compare sizes directly: the dominance algebra itself
+#: and the bin fit primitive it defines (DBP010).
+_SIZE_COMPARE_ALLOWLIST = frozenset({"repro.core.resources", "repro.core.bin"})
+
+_INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__", "__setstate__"})
+
+_CONCURRENCY_MODULES = frozenset(
+    {
+        "socket",
+        "socketserver",
+        "ssl",
+        "http",
+        "threading",
+        "_thread",
+        "concurrent",
+        "multiprocessing",
+        "signal",
+        "selectors",
+        "asyncio",
+        "queue",
+    }
+)
+
+_ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
+    """The ``@dataclass``/``@dataclasses.dataclass`` decorator, if any."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if _dotted(target) in ("dataclass", "dataclasses.dataclass"):
+            return deco
+    return None
+
+
+def _decorator_keyword_true(deco: ast.expr, keyword: str) -> bool:
+    if not isinstance(deco, ast.Call):
+        return False
+    for kw in deco.keywords:
+        if kw.arg == keyword:
+            return isinstance(kw.value, ast.Constant) and kw.value.value is True
+    return False
+
+
+def _cost_operand(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name) and _COST_NAME_RE.search(node.id):
+        return node.id
+    if isinstance(node, ast.Attribute) and _COST_NAME_RE.search(node.attr):
+        return node.attr
+    if isinstance(node, ast.Call):
+        dotted = _dotted(node.func)
+        if dotted is not None and _COST_NAME_RE.search(dotted.rsplit(".", 1)[-1]):
+            return dotted
+    return None
+
+
+class _LocalChecks(ast.NodeVisitor):
+    """One walk running every per-file check of the syntax pass."""
+
+    def __init__(self, module: str) -> None:
+        self.findings: list[LocalFinding] = []
+        self.frozen_mutations: list[FrozenMutation] = []
+        self.frozen_classes: list[str] = []
+        self._compare_sizes = module not in _SIZE_COMPARE_ALLOWLIST
+        self._functions: list[str] = []
+        self._classes: list[str] = []
+        #: variable name -> annotation identifiers, per function scope
+        self._annotations: list[dict[str, tuple[str, ...]]] = []
+
+    def _add(self, code: str, node: ast.AST, message: str) -> None:
+        self.findings.append(LocalFinding(code, message, _loc(node)))
+
+    # -- scopes, DBP006 (mutable defaults), DBP007 (slots), frozen classes
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        deco = _dataclass_decorator(node)
+        if deco is not None and _decorator_keyword_true(deco, "frozen"):
+            self.frozen_classes.append(node.name)
+        elif any(
+            (_dotted(base) or "").rsplit(".", 1)[-1] == "NamedTuple" for base in node.bases
+        ):
+            self.frozen_classes.append(node.name)
+        if deco is not None and not node.bases and not _decorator_keyword_true(deco, "slots"):
+            self._add(
+                "DBP007", node, f"dataclass {node.name!r} in an engine module lacks slots=True"
+            )
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> None:
+        args = node.args
+        for default in [*args.defaults, *(d for d in args.kw_defaults if d is not None)]:
+            if _is_mutable_value(default):
+                where = getattr(node, "name", "<lambda>")
+                self._add(
+                    "DBP006",
+                    default,
+                    f"mutable default argument in {where!r}; use None (or a "
+                    "tuple) and construct per call",
+                )
+
+    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self._check_defaults(node)
+        args = node.args
+        self._functions.append(node.name)
+        self._annotations.append(
+            {
+                arg.arg: _annotation_names(arg.annotation)
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            }
+        )
+        self.generic_visit(node)
+        self._annotations.pop()
+        self._functions.pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._check_defaults(node)
+        self.generic_visit(node)
+
+    # -- DBP004 (frozen mutation)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if self._annotations and isinstance(node.target, ast.Name):
+            self._annotations[-1][node.target.id] = _annotation_names(node.annotation)
+        self.generic_visit(node)
+
+    def _in_init(self) -> bool:
+        return bool(self._functions) and self._functions[-1] in _INIT_METHODS
+
+    def _check_store(self, target: ast.expr, node: ast.AST) -> None:
+        if not isinstance(target, ast.Attribute) or not isinstance(target.value, ast.Name):
+            return
+        name = target.value.id
+        if name == "self":
+            if self._classes and not self._in_init():
+                self.frozen_mutations.append(
+                    FrozenMutation("self", target.attr, (self._classes[-1],), _loc(node))
+                )
+            return
+        for scope in reversed(self._annotations):
+            if name in scope:
+                if scope[name]:
+                    self.frozen_mutations.append(
+                        FrozenMutation(name, target.attr, scope[name], _loc(node))
+                    )
+                return
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_store(target, node)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_store(node.target, node)
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._check_store(target, node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if _dotted(node.func) == "object.__setattr__" and not self._in_init():
+            self._add(
+                "DBP004",
+                node,
+                "object.__setattr__ outside __init__/__post_init__ bypasses "
+                "frozen-dataclass protection",
+            )
+        self.generic_visit(node)
+
+    # -- DBP003 (float == on costs), DBP010 (raw size order)
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left, *node.comparators]
+        if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            for operand in operands:
+                name = _cost_operand(operand)
+                if name is not None:
+                    self._add(
+                        "DBP003",
+                        node,
+                        f"equality comparison on cost-like value {name!r}; use an "
+                        "explicit tolerance, or suppress citing the exact-replay "
+                        "argument",
+                    )
+                    break
+        if self._compare_sizes and any(isinstance(op, _ORDER_OPS) for op in node.ops):
+            if any(isinstance(side, ast.Attribute) and side.attr == "size" for side in operands):
+                self._add(
+                    "DBP010",
+                    node,
+                    "ordered comparison on a raw .size; use size_fits()/"
+                    "oversize_dimension() or a scalarisation — dominance is "
+                    "a partial order",
+                )
+        self.generic_visit(node)
+
+    # -- DBP016 (concurrency imports)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name.split(".", 1)[0] in _CONCURRENCY_MODULES:
+                self._add(
+                    "DBP016",
+                    node,
+                    f"engine code imports {alias.name!r}, a concurrency/"
+                    "network primitive; keep the live plane observer-side",
+                )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 0 and (node.module or "").split(".", 1)[0] in _CONCURRENCY_MODULES:
+            self._add(
+                "DBP016",
+                node,
+                f"engine code imports from {node.module!r}, a concurrency/"
+                "network primitive; keep the live plane observer-side",
+            )
+
+
+def _suppression_findings(suppressions: dict[int, Suppression]) -> list[LocalFinding]:
+    """DBP008: every ``dbp: noqa`` without codes or without a justification."""
+    found: list[LocalFinding] = []
+    for suppression in suppressions.values():
+        if suppression.well_formed:
+            continue
+        if not suppression.codes:
+            message = (
+                "dbp: noqa must name the suppressed rule codes, e.g. "
+                "'# dbp: noqa[DBP003] -- why'"
+            )
+        else:
+            message = (
+                "dbp: noqa lacks a justification; append '-- <why this "
+                "deviation is sound>'"
+            )
+        loc = Loc(line=suppression.line, col=0, end_line=suppression.line)
+        found.append(LocalFinding("DBP008", message, loc))
+    return found
+
+
+# --------------------------------------------------------------------------
 # Module extraction
 
 
@@ -1307,17 +1654,18 @@ def _param_list(args: ast.arguments) -> list[ast.arg]:
 
 def _captured_mutables(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
+    shallow: list[ast.AST],
     enclosing_mutables: set[str],
 ) -> tuple[str, ...]:
     params = {arg.arg for arg in _param_list(node.args)}
     local: set[str] = set()
-    for inner in _walk_shallow(node.body):
+    for inner in shallow:
         if isinstance(inner, ast.Assign):
             for target in inner.targets:
                 if isinstance(target, ast.Name):
                     local.add(target.id)
     captured: set[str] = set()
-    for inner in _walk_shallow(node.body):
+    for inner in shallow:
         if isinstance(inner, ast.Name):
             name = inner.id
             if name in enclosing_mutables and name not in params and name not in local:
@@ -1362,6 +1710,8 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
     # -- classes and the function inventory (methods, nested functions)
     classes: list[ClassFacts] = []
     functions: list[FunctionFacts] = []
+    #: ids of the call nodes classified as some function's effect seeds
+    covered: set[int] = set()
 
     #: module-level defs and classes, for local name resolution
     local_defs: dict[str, str] = {}
@@ -1375,8 +1725,9 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
         klass: str | None,
         enclosing_mutables: set[str],
         scope_defs: dict[str, str],
-        is_nested: bool,
+        enclosing_params: frozenset[str] | None,
     ) -> None:
+        """Facts of ``node``; ``enclosing_params`` is ``None`` unless it is nested."""
         params = [arg.arg for arg in _param_list(node.args)]
         param_set = set(params)
         param_quals = {
@@ -1388,8 +1739,10 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
             for arg in _param_list(node.args)
             if arg.annotation is not None
         }
+        # One shallow walk of the body, shared by every collector below.
+        shallow = list(_walk_shallow(node.body))
         # Local AnnAssign hints extend receiver-annotation knowledge.
-        for inner in _walk_shallow(node.body):
+        for inner in shallow:
             if isinstance(inner, ast.AnnAssign) and isinstance(inner.target, ast.Name):
                 names = _annotation_names(inner.annotation)
                 if names:
@@ -1401,8 +1754,16 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner_defs[stmt.name] = f"{qualname}.{stmt.name}"
 
-        effects = _collect_effects(node.body, imports, param_set, module_mutable_names)
-        calls = _collect_calls(node.body, param_set, inner_defs, param_hints)
+        effects = _collect_effects(
+            node.body,
+            shallow,
+            imports,
+            param_set,
+            module_mutable_names,
+            enclosing_params or frozenset(),
+            covered,
+        )
+        calls = _collect_calls(shallow, param_set, inner_defs, param_hints)
 
         scan = _ExactnessScan(
             node.name, src.module, param_quals, imports, inner_defs, param_hints
@@ -1439,14 +1800,14 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                 returns_introduced=scan.returns_introduced,
                 return_reason=scan.return_reason,
                 return_call_deps=tuple(return_deps),
-                captured_mutables=_captured_mutables(node, enclosing_mutables),
-                is_nested=is_nested,
+                captured_mutables=_captured_mutables(node, shallow, enclosing_mutables),
+                is_nested=enclosing_params is not None,
             )
         )
 
         # Recurse into nested functions with this scope's mutables added.
         own_mutables = set(enclosing_mutables)
-        for inner in _walk_shallow(node.body):
+        for inner in shallow:
             if isinstance(inner, ast.Assign) and _is_mutable_value(inner.value):
                 for target in inner.targets:
                     if isinstance(target, ast.Name):
@@ -1459,13 +1820,13 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                     klass,
                     own_mutables,
                     inner_defs,
-                    True,
+                    (enclosing_params or frozenset()) | param_set,
                 )
 
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _function_facts(
-                stmt, f"{src.module}:{stmt.name}", None, set(), local_defs, False
+                stmt, f"{src.module}:{stmt.name}", None, set(), local_defs, None
             )
         elif isinstance(stmt, ast.ClassDef):
             methods: list[str] = []
@@ -1479,7 +1840,7 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                         stmt.name,
                         set(),
                         local_defs,
-                        False,
+                        None,
                     )
                 elif isinstance(item, ast.AnnAssign) and isinstance(
                     item.target, ast.Name
@@ -1515,11 +1876,22 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                 )
             )
 
+    # -- every call no extracted function body classified: module seeds
+    module_effects = list(imports.sites)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in covered:
+            effect = _effect_for_call(node, imports, frozenset())
+            if effect is not None:
+                module_effects.append(effect)
+
     # -- unordered iteration and dispatch sites (whole file, scope-aware)
     tracker = _SetTracker(imports)
     tracker.visit(tree)
     dispatch = _DispatchCollector(local_defs)
     dispatch.visit(tree)
+    checks = _LocalChecks(src.module)
+    checks.visit(tree)
+    findings = checks.findings + _suppression_findings(src.suppressions)
 
     return ModuleFacts(
         module=src.module,
@@ -1534,5 +1906,13 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
         dispatch_sites=tuple(
             sorted(dispatch.sites, key=lambda s: (s.loc.line, s.loc.col, s.api))
         ),
+        module_effects=tuple(
+            sorted(module_effects, key=lambda e: (e.loc.line, e.loc.col, e.effect))
+        ),
+        findings=tuple(
+            sorted(findings, key=lambda f: (f.loc.line, f.loc.col, f.code))
+        ),
+        frozen_mutations=tuple(checks.frozen_mutations),
+        frozen_classes=tuple(sorted(set(checks.frozen_classes))),
         suppressions=dict(src.suppressions),
     )

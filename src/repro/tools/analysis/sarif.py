@@ -17,7 +17,7 @@ from pathlib import PurePosixPath
 from repro.tools.analysis.baseline import BaselineEntry
 from repro.tools.analysis.catalog import iter_rules
 from repro.tools.analysis.engine import AnalysisReport
-from repro.tools.common.violations import Violation
+from repro.tools.analysis.source import Violation
 
 __all__ = ["sarif_document", "to_sarif"]
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 __all__ = ["iter_public_modules", "render_api_markdown", "main"]
 
-#: Modules skipped in the reference.  The lint analyzer is public API
+#: Modules skipped in the reference.  The static checker is public API
 #: (tests and CI call it); apidoc itself stays out of its own output.
 _SKIP_PREFIXES = ("repro.tools.apidoc",)
 

@@ -1,33 +1,23 @@
-"""Line-coverage ratchet for the engine packages — stdlib only.
+"""Line-coverage ratchet for the engine packages.
 
-The CI ``coverage`` job measures tier-1 line coverage (with ``pytest-cov``
-where available) and fails if coverage of the gated packages —
-``repro.algorithms`` and ``repro.core`` — drops below the committed floor
-in ``coverage-baseline.json``.  This module is the whole pipeline, with no
-dependency on ``coverage`` being importable:
+The CI ``coverage`` job measures tier-1 line coverage with ``pytest-cov``
+and fails if coverage of the gated packages — ``repro.algorithms`` and
+``repro.core`` — drops below the committed floor in
+``coverage-baseline.json``.  Reports come from ``pytest --cov-report=json``;
+this module reads them:
 
-* ``measure`` — run a command (typically pytest) under a
-  :func:`sys.settrace` tracer restricted to the gated source trees and
-  write a ``coverage.json``-shaped report.  Executable lines come from
-  compiling each file and walking ``co_lines()``, so "statements" mean
-  the same thing the bytecode means.  This is how the committed baseline
-  was produced; it needs nothing installed beyond the repo.
-* ``check`` — compare a report (ours or ``pytest-cov``'s
-  ``--cov-report=json``; the shapes are compatible) against the baseline
-  floors and exit non-zero on a drop.
+* ``check`` — compare a report against the baseline floors and exit
+  non-zero on a drop.
 * ``update`` — rewrite the baseline floors from a report (floor =
   measured percent rounded down, minus a safety margin so unrelated
   interpreter/tool variation cannot flake the gate).
 
 Usage::
 
-    python -m repro.tools.coverage_gate measure --out coverage.json -- -q tests
+    PYTHONPATH=src python -m pytest -q --cov=repro.algorithms --cov=repro.core \\
+        --cov-report=json:coverage.json
     python -m repro.tools.coverage_gate check coverage.json
     python -m repro.tools.coverage_gate update coverage.json
-
-The tracer only pays for frames inside the gated trees (the global trace
-function declines everything else), so a measured run costs a few × the
-plain suite, not the classic full-trace blowup.
 """
 
 from __future__ import annotations
@@ -37,14 +27,10 @@ import json
 import math
 import sys
 from pathlib import Path
-from types import CodeType, FrameType
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 __all__ = [
     "GATED_PACKAGES",
-    "executable_lines",
-    "LineTracer",
-    "build_report",
     "package_percents",
     "check_report",
     "main",
@@ -59,115 +45,11 @@ FLOOR_MARGIN = 2.0
 DEFAULT_BASELINE = "coverage-baseline.json"
 
 
-def _walk_code(code: CodeType) -> Iterator[CodeType]:
-    yield code
-    for const in code.co_consts:
-        if isinstance(const, CodeType):
-            yield from _walk_code(const)
-
-
-def executable_lines(path: Path) -> set[int]:
-    """Line numbers the compiled module can actually execute."""
-    code = compile(path.read_text(), str(path), "exec")
-    lines: set[int] = set()
-    for co in _walk_code(code):
-        for _, _, lineno in co.co_lines():
-            if lineno is not None:
-                lines.add(lineno)
-    return lines
-
-
-class LineTracer:
-    """A ``sys.settrace`` hook that records executed lines per target file.
-
-    The global hook returns ``None`` for frames outside ``targets`` so the
-    interpreter never fires line events there; only gated-package frames
-    pay the tracing cost.
-    """
-
-    def __init__(self, targets: set[str]):
-        self.targets = targets
-        self.executed: dict[str, set[int]] = {}
-        self._previous: Any = None
-        self._previous_threading: Any = None
-
-    def _local(self, frame: FrameType, event: str, arg: Any) -> Any:
-        if event == "line":
-            self.executed[frame.f_code.co_filename].add(frame.f_lineno)
-        return self._local
-
-    def global_trace(self, frame: FrameType, event: str, arg: Any) -> Any:
-        filename = frame.f_code.co_filename
-        if filename in self.targets:
-            self.executed.setdefault(filename, set())
-            return self._local(frame, event, arg)
-        return None
-
-    def install(self) -> None:
-        # Save and restore any enclosing tracer: the suite's own
-        # LineTracer tests must not clobber an outer ``measure`` run.
-        import threading
-
-        self._previous = sys.gettrace()
-        self._previous_threading = threading.gettrace()
-        sys.settrace(self.global_trace)
-        # Propagate into threads the measured command may start.
-        threading.settrace(self.global_trace)
-
-    def uninstall(self) -> None:
-        import threading
-
-        sys.settrace(self._previous)
-        threading.settrace(self._previous_threading)
-
-
-def _gated_files(root: Path) -> list[Path]:
-    files: list[Path] = []
-    for package in GATED_PACKAGES:
-        tree = root / "src" / Path(*package.split("."))
-        files.extend(sorted(tree.rglob("*.py")))
-    return files
-
-
-def build_report(
-    root: Path, executed: dict[str, set[int]]
-) -> dict[str, Any]:
-    """A ``coverage.json``-shaped report over the gated files."""
-    files: dict[str, Any] = {}
-    total_statements = 0
-    total_covered = 0
-    for path in _gated_files(root):
-        statements = executable_lines(path)
-        hit = executed.get(str(path), set()) & statements
-        total_statements += len(statements)
-        total_covered += len(hit)
-        files[path.relative_to(root).as_posix()] = {
-            "summary": {
-                "num_statements": len(statements),
-                "covered_lines": len(hit),
-                "percent_covered": (
-                    100.0 * len(hit) / len(statements) if statements else 100.0
-                ),
-            }
-        }
-    return {
-        "meta": {"tool": "repro.tools.coverage_gate"},
-        "files": files,
-        "totals": {
-            "num_statements": total_statements,
-            "covered_lines": total_covered,
-            "percent_covered": (
-                100.0 * total_covered / total_statements if total_statements else 100.0
-            ),
-        },
-    }
-
-
 def _package_of(file_key: str) -> str | None:
     """Map a report file key to its gated package (or ``None``).
 
-    Accepts both our keys (``src/repro/core/bin.py``) and ``pytest-cov``
-    keys, which may or may not carry the ``src/`` prefix depending on how
+    ``pytest-cov`` keys may or may not carry the ``src/`` prefix
+    (``src/repro/core/bin.py`` or ``repro/core/bin.py``) depending on how
     ``--cov`` was invoked.
     """
     normalized = file_key.replace("\\", "/")
@@ -215,29 +97,6 @@ def check_report(
     return failures
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
-    root = Path(args.root).resolve()
-    targets = {str(p) for p in _gated_files(root)}
-    tracer = LineTracer(targets)
-    argv = sys.argv
-    sys.argv = ["pytest", *args.pytest_args]
-    tracer.install()
-    try:
-        import pytest
-
-        exit_code = int(pytest.main(args.pytest_args))
-    finally:
-        tracer.uninstall()
-        sys.argv = argv
-    report = build_report(root, tracer.executed)
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for package, percent in package_percents(report).items():
-        print(f"{package}: {percent:.2f}% line coverage")
-    if exit_code != 0:
-        print(f"measured command failed with exit code {exit_code}", file=sys.stderr)
-    return exit_code
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     report = json.loads(Path(args.report).read_text())
     baseline = json.loads(Path(args.baseline).read_text())
@@ -278,12 +137,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.tools.coverage_gate", description=__doc__
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    measure = sub.add_parser("measure", help="trace a pytest run, write a report")
-    measure.add_argument("--root", default=".", help="repository root")
-    measure.add_argument("--out", default="coverage.json")
-    measure.add_argument("pytest_args", nargs="*", help="arguments passed to pytest")
-    measure.set_defaults(fn=_cmd_measure)
 
     check = sub.add_parser("check", help="gate a report against the baseline")
     check.add_argument("report")

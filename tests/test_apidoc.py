@@ -16,8 +16,9 @@ class TestGeneration:
         assert "repro" in modules
         assert "repro.core.simulator" in modules
         assert "repro.experiments.registry" in modules
-        # The lint analyzer is public API; apidoc itself stays out.
-        assert "repro.tools.lint" in modules
+        # The static checker is public API; apidoc itself stays out.
+        assert "repro.tools.analysis" in modules
+        assert not any(m.startswith("repro.tools.lint") for m in modules)
         assert not any(m.startswith("repro.tools.apidoc") for m in modules)
         assert modules == sorted(modules)
 

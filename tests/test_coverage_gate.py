@@ -1,61 +1,16 @@
-"""The stdlib coverage ratchet: tracer, report shape, and gate logic."""
+"""The coverage ratchet: package grouping of pytest-cov reports and the gate."""
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
-
-import pytest
 
 from repro.tools.coverage_gate import (
     GATED_PACKAGES,
-    LineTracer,
     check_report,
-    executable_lines,
     main,
     package_percents,
 )
-
-SNIPPET = """\
-def covered(x):
-    return x + 1
-
-
-def uncovered(x):
-    y = x * 2
-    return y
-"""
-
-
-def test_executable_lines_match_the_bytecode(tmp_path):
-    path = tmp_path / "mod.py"
-    path.write_text(SNIPPET)
-    lines = executable_lines(path)
-    # def lines and every body line are executable; blank lines are not.
-    assert {1, 2, 5, 6, 7} <= lines
-    assert 3 not in lines and 4 not in lines
-
-
-def test_tracer_records_only_target_files(tmp_path):
-    target = tmp_path / "target.py"
-    target.write_text(SNIPPET)
-    other = tmp_path / "other.py"
-    other.write_text(SNIPPET)
-    namespaces = {}
-    for path in (target, other):
-        ns = {}
-        exec(compile(path.read_text(), str(path), "exec"), ns)
-        namespaces[path] = ns
-    tracer = LineTracer({str(target)})
-    tracer.install()
-    try:
-        namespaces[target]["covered"](1)
-        namespaces[other]["covered"](1)
-    finally:
-        tracer.uninstall()
-    assert 2 in tracer.executed[str(target)]
-    assert str(other) not in tracer.executed
 
 
 def _report(algorithms_pct, core_pct):
@@ -131,30 +86,3 @@ def test_committed_baseline_gates_both_engine_packages():
     assert set(baseline["packages"]) == set(GATED_PACKAGES)
     for package, floor in baseline["packages"].items():
         assert 0 < floor < 100, (package, floor)
-
-
-@pytest.mark.skipif(
-    sys.gettrace() is not None, reason="already tracing (debugger or coverage run)"
-)
-def test_measured_report_shape_matches_the_gate(tmp_path):
-    """An end-to-end micro-measure: trace an inline workload touching the
-    real gated packages, build the report, and run the gate over it."""
-    from repro.algorithms import FirstFit
-    from repro.core.simulator import simulate
-    from repro.tools.coverage_gate import build_report
-    from tests.conftest import build_items
-
-    root = Path(__file__).parent.parent
-    from repro.tools.coverage_gate import _gated_files
-
-    tracer = LineTracer({str(p) for p in _gated_files(root)})
-    tracer.install()
-    try:
-        simulate(build_items([(0, 4, 0.5), (1, 3, 0.6)]), FirstFit())
-    finally:
-        tracer.uninstall()
-    report = build_report(root, tracer.executed)
-    percents = package_percents(report)
-    assert percents["repro.core"] > 0
-    assert percents["repro.algorithms"] > 0
-    assert check_report(report, {"packages": {"repro.core": 0.1}}) == []

@@ -1,12 +1,15 @@
-"""Tests for the determinism-and-invariant analyzer (`repro.tools.lint`).
+"""Tests for the per-file rules of the static checker (DBP001–DBP010, DBP016).
 
 Each rule is exercised against a fixture under ``tests/lint_fixtures/``;
 lines that must fire carry a ``# DBPnnn`` marker comment, and the test
 asserts the rule fires on exactly the marked lines — no misses, no false
-positives elsewhere in the fixture.  Fixtures are linted via
-:func:`lint_source` under a fake engine module name (the directory itself
-is excluded from tree lints so the deliberate violations never pollute the
-repo-wide run).
+positives of the same rule family elsewhere in the fixture.  Fixtures are
+analyzed via :func:`analyze_sources` under a fake engine module name (the
+directory itself is excluded from tree runs so the deliberate violations
+never pollute the repo-wide run).  The whole-program rules DBP011–DBP015
+are ``tests/test_analysis.py``'s subject; a lint fixture may trip them
+(``dbp005_observer.py``'s hooks are impure for DBP013 too), which is why
+the family split below exists.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.lint import (
-    RULES,
-    LintConfig,
+from repro.tools.analysis import (
+    ANALYSIS_RULES,
+    SCOPES,
+    AnalysisConfig,
     all_codes,
+    analyze_paths,
+    analyze_sources,
     iter_rules,
-    lint_paths,
-    lint_source,
+    load_baseline,
     module_name_for,
     scan_suppressions,
     scope_applies,
@@ -39,6 +44,9 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 _MARKER = re.compile(r"#\s*(DBP\d{3})\b")
 
 ENGINE_MODULE = "repro.core.fixture"
+
+#: The rule family the lint fixtures are checked against.
+LINT_CODES = frozenset(f"DBP{i:03d}" for i in [*range(1, 11), 16])
 
 
 def fixture_source(name: str) -> str:
@@ -55,29 +63,33 @@ def marked_lines(source: str, code: str) -> set[int]:
     return lines
 
 
-def lines_fired(source: str, code: str, module: str = ENGINE_MODULE) -> set[int]:
-    report = lint_source(source, module=module)
+def analyze(source: str, module: str = ENGINE_MODULE, config: AnalysisConfig | None = None):
+    report = analyze_sources({module: source}, config)
     assert not report.errors, report.errors
-    return {v.line for v in report.violations if v.code == code}
+    return report
+
+
+def lines_fired(source: str, code: str, module: str = ENGINE_MODULE) -> set[int]:
+    return {v.line for v in analyze(source, module).violations if v.code == code}
 
 
 # ---------------------------------------------------------------------------
-# Rule registry
+# Rule catalogue
 
 
 class TestRegistry:
     def test_rules_have_stable_codes(self):
-        assert all_codes() == [f"DBP{i:03d}" for i in range(1, 11)] + ["DBP016"]
+        assert all_codes() == [f"DBP{i:03d}" for i in range(1, 17)]
 
     def test_rules_carry_scope_name_summary_and_doc(self):
         for rule in iter_rules():
-            assert rule.scope in ("engine", "src", "all")
+            assert rule.scope in SCOPES
             assert re.fullmatch(r"[a-z][a-z0-9-]*", rule.name)
             assert rule.summary
-            assert rule.check.__doc__, f"{rule.code} has no rationale docstring"
+            assert rule.help, f"{rule.code} has no rationale"
 
     def test_registry_is_keyed_by_code(self):
-        for code, rule in RULES.items():
+        for code, rule in ANALYSIS_RULES.items():
             assert rule.code == code
 
 
@@ -110,17 +122,18 @@ class TestRuleFixtures:
     @pytest.mark.parametrize("fixture,code", FIXTURE_CASES)
     def test_no_stray_violations_of_other_engine_rules(self, fixture, code):
         # A fixture may only trip its own rule plus explicitly marked or
-        # suppressed others; anything else is a false positive.
+        # suppressed others of its family; anything else is a false positive.
         source = fixture_source(fixture)
-        report = lint_source(source, module=ENGINE_MODULE)
-        for violation in report.violations:
+        for violation in analyze(source).violations:
+            if violation.code not in LINT_CODES:
+                continue
             assert violation.line in marked_lines(source, violation.code), (
                 f"unexpected {violation.code} at line {violation.line} "
                 f"in {fixture}: {violation.message}"
             )
 
     def test_clean_engine_fixture_is_clean(self):
-        report = lint_source(fixture_source("clean_engine.py"), module=ENGINE_MODULE)
+        report = analyze(fixture_source("clean_engine.py"))
         assert report.ok
         assert report.suppressed == 0
 
@@ -128,7 +141,7 @@ class TestRuleFixtures:
 class TestSuppressionHygiene:
     def test_dbp008_fires_on_malformed_noqa(self):
         source = fixture_source("dbp008_noqa.py")
-        report = lint_source(source, module=ENGINE_MODULE)
+        report = analyze(source)
         by_code = {}
         for v in report.violations:
             by_code.setdefault(v.code, set()).add(v.line)
@@ -163,28 +176,203 @@ class TestSuppressionHygiene:
             "    == 1.0  # dbp: noqa[DBP003] -- exact by construction\n"
             ")\n"
         )
-        report = lint_source(source, module=ENGINE_MODULE)
+        report = analyze(source)
         assert not [v for v in report.violations if v.code == "DBP003"]
         assert report.suppressed == 1
 
-    def test_extra_frozen_enables_cross_module_dbp004(self):
-        # The frozen class lives in another module; `extra_frozen` stands in
-        # for the tree-wide registry pass of `lint_paths`.
-        source = (
+    def test_suppression_for_wrong_code_does_not_apply(self):
+        source = "total_cost = 1.0\nok = total_cost == 1.0  # dbp: noqa[DBP001] -- wrong code\n"
+        report = analyze(source)
+        assert [v for v in report.violations if v.code == "DBP003"]
+
+
+# ---------------------------------------------------------------------------
+# Rules that need more than one file, and what the one effect extractor adds
+
+
+OBSERVER_BASE = "class SimulationObserver:\n    pass\n"
+
+
+def codes_at(report, code: str) -> list[tuple[str, int]]:
+    return [(v.path, v.line) for v in report.violations if v.code == code]
+
+
+class TestWholeProgram:
+    def test_dbp004_resolves_frozen_classes_across_modules(self):
+        records = (
+            "from dataclasses import dataclass\n"
+            "\n"
+            "\n"
+            "@dataclass(frozen=True, slots=True)\n"
+            "class Snapshot:\n"
+            "    value: int\n"
+        )
+        touch = (
+            "from repro.core.fx_records import Snapshot\n"
+            "\n"
+            "\n"
             "def touch(record: Snapshot) -> None:\n"
             "    record.value = 1\n"
         )
-        without = lint_source(source, module=ENGINE_MODULE)
-        assert not [v for v in without.violations if v.code == "DBP004"]
-        with_registry = lint_source(
-            source, module=ENGINE_MODULE, extra_frozen=("Snapshot",)
-        )
-        assert [v for v in with_registry.violations if v.code == "DBP004"]
+        alone = analyze_sources({"repro.core.fx_touch": touch})
+        assert codes_at(alone, "DBP004") == []
+        both = analyze_sources({"repro.core.fx_records": records, "repro.core.fx_touch": touch})
+        assert codes_at(both, "DBP004") == [("repro/core/fx_touch.py", 5)]
+        assert "'record'" in both.violations[0].message
 
-    def test_suppression_for_wrong_code_does_not_apply(self):
-        source = "total_cost = 1.0\nok = total_cost == 1.0  # dbp: noqa[DBP001] -- wrong code\n"
-        report = lint_source(source, module=ENGINE_MODULE)
-        assert [v for v in report.violations if v.code == "DBP003"]
+    def test_random_seed_is_a_global_rng_seed(self):
+        # The linter flagged random.seed; the effect seeds did not.
+        source = (
+            "import random\n"
+            "\n"
+            + OBSERVER_BASE
+            + "\n"
+            "class Reseeding(SimulationObserver):\n"
+            "    def on_arrival(self, time, item, bin, opened):\n"
+            "        random.seed(7)  # DBP001\n"
+        )
+        report = analyze(source)
+        assert lines_fired(source, "DBP001") == marked_lines(source, "DBP001")
+        impure = [v for v in report.violations if v.code == "DBP013"]
+        assert [v.line for v in impure] == sorted(marked_lines(source, "DBP001"))
+        assert "global-rng" in impure[0].message
+
+    def test_seedless_construction_reaches_dbp013(self):
+        source = (
+            "import numpy as np\n"
+            "\n"
+            + OBSERVER_BASE
+            + "\n"
+            "class Jitter(SimulationObserver):\n"
+            "    def on_arrival(self, time, item, bin, opened):\n"
+            "        self.rng = np.random.default_rng()  # DBP001\n"
+        )
+        report = analyze(source)
+        assert lines_fired(source, "DBP001") == marked_lines(source, "DBP001")
+        impure = [v.line for v in report.violations if v.code == "DBP013"]
+        assert impure == sorted(marked_lines(source, "DBP001"))
+
+    def test_ambient_io_seeds_are_engine_side_channels(self):
+        # open(), input(), os.system and subprocess were performs-io seeds
+        # for DBP013 only; DBP009 now reports them too.
+        source = (
+            "import os\n"
+            "import subprocess\n"
+            "\n"
+            "\n"
+            "def dump(path, text):\n"
+            "    with open(path, 'w') as handle:  # DBP009\n"
+            "        handle.write(text)\n"
+            "    os.system('sync')  # DBP009\n"
+            "    subprocess.run(['true'])  # DBP009\n"
+            "    return input()  # DBP009\n"
+        )
+        found = [v.line for v in analyze(source).violations if v.code == "DBP009"]
+        # Every call is classified once: a seed is never reported twice.
+        assert sorted(found) == sorted(marked_lines(source, "DBP009"))
+
+    def test_logging_submodule_names_are_side_channels_for_dbp013(self):
+        # ``from logging.handlers import …`` was a DBP009 import for the
+        # linter only; its names are now performs-io seeds DBP013 follows.
+        source = (
+            "from logging.handlers import MemoryHandler  # DBP009\n"
+            "\n"
+            + OBSERVER_BASE
+            + "\n"
+            "class Buffering(SimulationObserver):\n"
+            "    def on_arrival(self, time, item, bin, opened):\n"
+            "        self.handler = MemoryHandler(16)  # DBP009\n"
+        )
+        report = analyze(source)
+        assert lines_fired(source, "DBP009") == marked_lines(source, "DBP009")
+        impure = [v for v in report.violations if v.code == "DBP013"]
+        assert [v.line for v in impure] == [max(marked_lines(source, "DBP009"))]
+        assert "performs-io" in impure[0].message
+
+    def test_calls_of_imported_clock_and_rng_names_fire(self):
+        # The linter flagged only the import line of a from-imported name.
+        source = (
+            "from random import shuffle  # DBP001\n"
+            "from time import perf_counter  # DBP002\n"
+            "\n"
+            "\n"
+            "def stamp(items):\n"
+            "    shuffle(items)  # DBP001\n"
+            "    return perf_counter()  # DBP002\n"
+        )
+        assert lines_fired(source, "DBP001") == marked_lines(source, "DBP001")
+        assert lines_fired(source, "DBP002") == marked_lines(source, "DBP002")
+
+    def test_class_body_and_default_seeds_fire(self):
+        source = (
+            "import time\n"
+            "\n"
+            "\n"
+            "class Clocked:\n"
+            "    started = time.time()  # DBP002\n"
+            "\n"
+            "    def at(self, now=time.monotonic()):  # DBP002\n"
+            "        return now\n"
+        )
+        assert lines_fired(source, "DBP002") == marked_lines(source, "DBP002")
+
+    def test_popitem_is_a_mutator(self):
+        source = (
+            OBSERVER_BASE
+            + "\n"
+            "class Draining(SimulationObserver):\n"
+            "    def on_departure(self, time, item, bin, closed):\n"
+            "        bin.labels.popitem()  # DBP005\n"
+        )
+        assert lines_fired(source, "DBP005") == marked_lines(source, "DBP005")
+
+    def test_observer_through_a_project_base_is_checked(self):
+        # The linter matched only direct ``*Observer`` bases.
+        source = (
+            OBSERVER_BASE
+            + "\n"
+            "class Tracer(SimulationObserver):\n"
+            "    pass\n"
+            "\n"
+            "class RingTracer(Tracer):\n"
+            "    def on_arrival(self, time, item, bin, opened):\n"
+            "        bin.label = 'ring'  # DBP005\n"
+            "\n"
+            "class AuditObserver(Tracer):\n"
+            "    def on_departure(self, time, item, bin, closed):\n"
+            "        item.tag = None  # DBP005\n"
+        )
+        assert lines_fired(source, "DBP005") == marked_lines(source, "DBP005")
+
+    def test_hook_variadic_parameters_are_arguments(self):
+        source = (
+            OBSERVER_BASE
+            + "\n"
+            "class Forwarding(SimulationObserver):\n"
+            "    def on_arrival(self, *args, **details):\n"
+            "        details.clear()  # DBP005\n"
+        )
+        assert lines_fired(source, "DBP005") == marked_lines(source, "DBP005")
+
+    def test_nested_functions_and_lambdas_of_a_hook_are_its_body(self):
+        source = (
+            OBSERVER_BASE
+            + "\n"
+            "class Deferred(SimulationObserver):\n"
+            "    def on_arrival(self, time, item, bin, opened):\n"
+            "        def relabel():\n"
+            "            bin.label = 'seen'  # DBP005\n"
+            "        def own(bin):\n"
+            "            bin.label = 'fine: its own parameter'\n"
+            "        self.later = lambda: bin.items.clear()  # DBP005\n"
+            "        relabel()\n"
+        )
+        assert lines_fired(source, "DBP005") == marked_lines(source, "DBP005")
+        # A closure write reaches DBP013 through the call of the nested function.
+        called = source.replace("        self.later = lambda: bin.items.clear()  # DBP005\n", "")
+        impure = [v.message for v in analyze(called).violations if v.code == "DBP013"]
+        assert len(impure) == 1
+        assert "mutates-param:bin via calls Deferred.on_arrival.relabel()" in impure[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +391,7 @@ class TestScoping:
     def test_engine_io_rule_skips_cli_and_tools(self):
         source = fixture_source("dbp009_engine_io.py")
         assert lines_fired(source, "DBP009", module="repro.cli") == set()
-        assert lines_fired(source, "DBP009", module="repro.tools.lint.cli") == set()
+        assert lines_fired(source, "DBP009", module="repro.tools.analysis.cli") == set()
 
     def test_size_compare_rule_allowlists_dominance_algebra(self):
         source = fixture_source("dbp010_size_compare.py")
@@ -233,26 +421,26 @@ class TestScoping:
         assert module_name_for(Path("scratch.py")) == "scratch"
 
     def test_scope_applies_matrix(self):
-        config = LintConfig()
-        assert scope_applies("engine", "repro.core.bin", config)
-        assert scope_applies("engine", "repro.cloud", config)
-        assert not scope_applies("engine", "repro.corelib.x", config)
-        assert not scope_applies("engine", "repro.opt.fluid", config)
-        assert scope_applies("src", "repro.opt.fluid", config)
-        assert not scope_applies("src", "tests.test_opt", config)
-        assert scope_applies("all", "tests.test_opt", config)
+        assert scope_applies("engine", "repro.core.bin")
+        assert scope_applies("engine", "repro.cloud")
+        assert not scope_applies("engine", "repro.corelib.x")
+        assert not scope_applies("engine", "repro.opt.fluid")
+        assert not scope_applies("engine", "repro.obs.metrics")
+        assert scope_applies("exact", "repro.obs.metrics")
+        assert scope_applies("exact", "repro.resilience.store")
+        assert scope_applies("exact", "repro.core.bin")
+        assert not scope_applies("exact", "repro.opt.fluid")
+        assert scope_applies("src", "repro.opt.fluid")
+        assert not scope_applies("src", "tests.test_opt")
+        assert scope_applies("all", "tests.test_opt")
         with pytest.raises(ValueError):
-            scope_applies("bogus", "repro.core.bin", config)
+            scope_applies("bogus", "repro.core.bin")
 
     def test_select_and_ignore_filter_rules(self):
         source = fixture_source("dbp006_mutable_default.py")
-        only = lint_source(
-            source, module=ENGINE_MODULE, config=LintConfig(select=frozenset({"DBP001"}))
-        )
+        only = analyze(source, config=AnalysisConfig(select=frozenset({"DBP001"})))
         assert only.ok
-        ignored = lint_source(
-            source, module=ENGINE_MODULE, config=LintConfig(ignore=frozenset({"DBP006"}))
-        )
+        ignored = analyze(source, config=AnalysisConfig(ignore=frozenset({"DBP006"})))
         assert not [v for v in ignored.violations if v.code == "DBP006"]
 
 
@@ -262,16 +450,19 @@ class TestScoping:
 
 class TestShippedTree:
     def test_src_and_tests_lint_clean(self):
-        report = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
+        baseline = load_baseline(REPO_ROOT / "analysis-baseline.json")
+        report = analyze_paths([REPO_ROOT / "src", REPO_ROOT / "tests"], baseline=baseline)
         assert report.files_checked > 100
         assert not report.errors, report.errors
         assert report.violations == [], "\n".join(v.render() for v in report.violations)
         # The sanctioned exact-replay/exact-resume suppressions, and
         # nothing more (3 replay oracles + 2 resilience resume oracles).
         assert report.suppressed == 5
+        assert [v.code for v, _ in report.baselined] == ["DBP011", "DBP011"]
+        assert report.stale_baseline == []
 
     def test_fixture_directory_is_excluded_from_tree_lint(self):
-        report = lint_paths([FIXTURES])
+        report = analyze_paths([FIXTURES])
         assert report.files_checked == 0
 
 
@@ -283,7 +474,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.tools.lint", *args],
+        [sys.executable, "-m", "repro.tools.analysis", *args],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
@@ -293,19 +484,22 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 class TestCLI:
     def test_clean_tree_exits_zero(self):
-        proc = run_cli("src", "tests")
+        proc = run_cli("src", "tests", "--no-cache")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 violation(s)" in proc.stdout
+        assert "0 finding(s), 2 baselined, 5 suppressed" in proc.stdout
 
-    def test_violations_exit_one_with_locations(self):
+    def test_violations_exit_one_with_locations(self, tmp_path):
         fixture = str(FIXTURES / "dbp006_mutable_default.py")
-        proc = run_cli(fixture, "--select", "DBP006")
-        assert proc.returncode == 0  # excluded by default config
-        # Fixtures are linted in tests via lint_source; the CLI honours the
-        # exclusion so accidental tree-wide runs stay clean.
+        proc = run_cli(fixture, "--select", "DBP006", "--no-cache")
+        assert proc.returncode == 0  # fixtures are excluded from tree runs
+        bad = tmp_path / "bad.py"
+        bad.write_text("def f(history=[]):\n    return history\n", encoding="utf-8")
+        proc = run_cli(str(bad), "--select", "DBP006", "--no-cache", "--no-baseline")
+        assert proc.returncode == 1
+        assert f"{bad}:1:15: DBP006" in proc.stdout
 
     def test_json_format_is_parseable(self):
-        proc = run_cli("src/repro/tools/lint", "--format", "json")
+        proc = run_cli("src/repro/tools/analysis", "--format", "json", "--no-cache")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True

@@ -17,7 +17,8 @@ from repro import BestFit, FirstFit
 from repro.cloud import ServerType, dispatch_stream
 from repro.core import Item, Resources
 from repro.core.streaming import simulate_stream
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsObserver, MetricsRegistry
+from repro.renting import MoveToFront
 from repro.resilience import (
     STORE_SCHEMA_VERSION,
     CheckpointStore,
@@ -96,6 +97,31 @@ def _drop_level(payload):
 
 def _unknown_bin(payload):
     payload["active"]["bin"][0] = 10**6
+
+
+def _rewrite_then_crash(store, tamper):
+    """A checkpoint hook replacing generation 1 by a tampered, checksummed
+    payload, then killing the attempt; records the generations it rewrote."""
+    rewritten = []
+
+    def hook(generation, checkpoint):
+        if generation != 1:
+            return
+        payload = json.loads(checkpoint.to_json())
+        tamper(payload)
+        text = json.dumps(payload, sort_keys=True)
+        envelope = {
+            "payload": text,
+            "schema_version": STORE_SCHEMA_VERSION,
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        }
+        store.path_for(generation).write_text(
+            json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        )
+        rewritten.append(generation)
+        raise InjectedCrash("killed right after a bad generation 1")
+
+    return hook, rewritten
 
 
 CASES = [
@@ -293,6 +319,55 @@ class TestRecoveryBehaviour:
         assert supervised.stats.crashes == 1
         assert supervised.stats.resumed_generations == (0,)
         assert supervised.stats.corrupt_generations_skipped == 1
+        assert supervised.summary == base
+
+    def test_unrestorable_observer_state_falls_back(self, tmp_path):
+        # Generation 1 loads (checksum and payload are fine) but its
+        # observer state cannot be restored: the resume from it must count
+        # as a corrupt generation and fall back to generation 0, not crash
+        # until recovery is exhausted.
+        base = simulate_stream(_scalar_items(), BestFit())
+        store = CheckpointStore(tmp_path, keep=3)
+
+        def drop_bin_stats(payload):
+            del payload["observers"][0]["bin_stats"]
+
+        hook, rewritten = _rewrite_then_crash(store, drop_bin_stats)
+        supervised = supervised_stream(
+            _scalar_items,
+            BestFit,
+            store=store,
+            checkpoint_every=CHECKPOINT_EVERY,
+            observer_factory=lambda: [MetricsObserver()],
+            max_restarts=4,
+            checkpoint_hook=hook,
+        )
+        assert rewritten == [1]
+        assert supervised.stats.crashes == 1
+        assert supervised.stats.corrupt_generations_skipped == 1
+        assert supervised.stats.resumed_generations == (1, 0)
+        assert supervised.summary == base
+
+    def test_unrestorable_algorithm_state_falls_back(self, tmp_path):
+        base = simulate_stream(_scalar_items(), MoveToFront())
+        store = CheckpointStore(tmp_path, keep=3)
+
+        def order_names_a_missing_bin(payload):
+            payload["algorithm_state"]["order"].append(10**6)
+
+        hook, rewritten = _rewrite_then_crash(store, order_names_a_missing_bin)
+        supervised = supervised_stream(
+            _scalar_items,
+            MoveToFront,
+            store=store,
+            checkpoint_every=CHECKPOINT_EVERY,
+            max_restarts=4,
+            checkpoint_hook=hook,
+        )
+        assert rewritten == [1]
+        assert supervised.stats.crashes == 1
+        assert supervised.stats.corrupt_generations_skipped == 1
+        assert supervised.stats.resumed_generations == (1, 0)
         assert supervised.summary == base
 
     def test_metrics_published(self, tmp_path):

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from repro.tools.analysis import (
+    SCOPES,
     BaselineEntry,
     all_codes,
     analyze_sources,
@@ -52,7 +53,7 @@ class TestShape:
             assert rule["help"]["text"]
             assert rule["defaultConfiguration"] == {"level": "error"}
             assert rule["properties"]["pass"]
-            assert rule["properties"]["scope"] in ("exact", "src")
+            assert rule["properties"]["scope"] in SCOPES
 
     def test_results_reference_rules_and_locations(self):
         doc = sarif_document(_report())
@@ -88,6 +89,33 @@ class TestShape:
             assert result["suppressions"] == [
                 {"kind": "external", "justification": "sanctioned for the fixture"}
             ]
+
+
+    def test_per_file_finding_carries_rule_metadata_and_baselines(self):
+        source = "def same(total_cost, other):\n    return total_cost == other\n"
+        module = "repro.experiments.fx_eq"
+        doc = sarif_document(analyze_sources({module: source}))
+        run = doc["runs"][0]
+        [result] = run["results"]
+        assert result["ruleId"] == "DBP003"
+        (component,) = run["tool"].values()  # the tool's one component
+        rule = component["rules"][result["ruleIndex"]]
+        assert rule["id"] == "DBP003"
+        assert rule["name"] == "float-eq-on-cost"
+        assert "tolerance" in rule["help"]["text"]
+        assert rule["properties"] == {"pass": "syntax", "scope": "src"}
+        entry = BaselineEntry(
+            code="DBP003",
+            path="repro/experiments/fx_eq.py",
+            contains="total_cost",
+            justification="exact-replay oracle for the fixture",
+        )
+        report = analyze_sources({module: source}, baseline=[entry])
+        assert report.ok and report.violations == []
+        [result] = sarif_document(report)["runs"][0]["results"]
+        assert result["suppressions"] == [
+            {"kind": "external", "justification": "exact-replay oracle for the fixture"}
+        ]
 
 
 class TestByteStability:
