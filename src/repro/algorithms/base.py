@@ -73,7 +73,16 @@ class PackingAlgorithm(ABC):
     name: str = "abstract"
 
     def reset(self, capacity: Size) -> None:
-        """Called once at simulation start; override to clear state."""
+        """Called once at simulation start; override to clear state.
+
+        Record-mode :func:`~repro.core.simulator.simulate` may run an exact
+        trace on the integer lattice (:mod:`repro.core.numeric`): the
+        capacity and every size arrive multiplied by one integer.  Derive
+        size thresholds from ``capacity`` (as ``W/k``, with
+        :func:`~repro.core.numeric.quotient`), never from constants, so a
+        decision is the same at every scale.  After such a run, state
+        derived here is still in lattice units.
+        """
 
     @abstractmethod
     def choose_bin(self, item: Arrival, open_bins: Sequence[Bin]) -> Bin | _OpenNew | None:

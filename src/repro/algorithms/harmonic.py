@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.numeric import Num
+from ..core.numeric import Num, quotient
 from ..core.bin import Bin
 from ..core.resources import Size, exceeds_threshold
 from .base import Arrival, OPEN_NEW, PackingAlgorithm, register_algorithm
@@ -57,7 +57,7 @@ class HarmonicFit(PackingAlgorithm):
             raise RuntimeError("algorithm not reset; run it through the simulator")
         w = self._capacity
         for j in range(1, self.num_classes):
-            if exceeds_threshold(item.size, w / (j + 1)):
+            if exceeds_threshold(item.size, quotient(w, j + 1)):
                 return j
         return self.num_classes
 

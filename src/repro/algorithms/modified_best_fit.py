@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.numeric import Num
+from ..core.numeric import Num, quotient
 from ..core.bin import Bin
 from ..core.bin_index import OpenBinIndex
 from ..core.resources import Resources, Size, meets_threshold, scalarize_max
@@ -35,7 +35,7 @@ class ModifiedBestFit(PackingAlgorithm):
         self._threshold: Size | None = None
 
     def reset(self, capacity: Size) -> None:
-        self._threshold = capacity / self.k
+        self._threshold = quotient(capacity, self.k)
 
     def classify(self, item: Arrival) -> str:
         if self._threshold is None:

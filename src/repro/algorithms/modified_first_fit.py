@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.numeric import Num
+from ..core.numeric import Num, quotient
 from ..core.bin import Bin
 from ..core.bin_index import OpenBinIndex
 from ..core.resources import Size, meets_threshold
@@ -56,7 +56,7 @@ class ModifiedFirstFit(PackingAlgorithm):
         return cls(k=mu + 7)
 
     def reset(self, capacity: Size) -> None:
-        self._threshold = capacity / self.k
+        self._threshold = quotient(capacity, self.k)
 
     def classify(self, item: Arrival) -> str:
         """LARGE if ``s(r) ≥ W/k`` else SMALL.

@@ -143,6 +143,17 @@ def check_fits(item: Item, capacity: Size) -> None:
         )
 
 
+def _out_of_order(item: Item, last_arrival: Num) -> EventOrderError:
+    """The error for a streamed item arriving before its predecessor."""
+    return EventOrderError(
+        f"item {item.item_id!r} arrives at {item.arrival}, before "
+        f"the previous arrival at {last_arrival}; streamed items "
+        "must have non-decreasing arrival times — sort the trace "
+        "first (compile_events and simulate accept any order)",
+        item_id=item.item_id,
+    )
+
+
 def _merge_events(
     items: Iterable[Item],
     seqs: Iterator[int] | None = None,
@@ -210,13 +221,7 @@ def _merge_events(
                     check_fits(item, capacity)
                 arrival = item.arrival
                 if last_arrival is not None and arrival < last_arrival:
-                    raise EventOrderError(
-                        f"item {item.item_id!r} arrives at {arrival}, before "
-                        f"the previous arrival at {last_arrival}; streamed items "
-                        "must have non-decreasing arrival times — sort the trace "
-                        "first (compile_events and simulate accept any order)",
-                        item_id=item.item_id,
-                    )
+                    raise _out_of_order(item, last_arrival)
                 last_arrival = arrival
         # Arrivals are the last class at an instant: the pulled item goes
         # next unless a pending event is due at or before its arrival.

@@ -6,8 +6,10 @@ Two driving styles share one engine:
   algorithm — the common case for workloads and experiments.  It is the
   event kernel of :mod:`repro.core.events` in record mode: a list is
   validated and stable-sorted by arrival (each item keeping its trace
-  position as its departure tiebreak), and a generator with sorted
-  arrivals is pulled lazily, without materializing the trace.
+  position as its departure tiebreak); a generator with sorted arrivals
+  is read in full first, with the admission checks a streamed run makes.
+  An exact trace runs on the integer lattice of :mod:`repro.core.numeric`
+  and its result is mapped back to the caller's units.
 * :class:`Simulator` is the incremental engine itself, which *adaptive
   adversaries* drive step by step: they submit arrivals, observe the
   resulting bin states, and only then decide departure times.  The paper's
@@ -34,14 +36,14 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator as _Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence, cast
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, cast
 
-from .numeric import Num
+from .numeric import Num, lattice_scale, to_lattice
 from ..algorithms.base import OPEN_NEW, Arrival, PackingAlgorithm
 from .bin import Bin
 from .bin_index import OpenBinIndex, OpenBinView
-from .events import _by_arrival, _merge_events
+from .events import _by_arrival, _merge_events, _out_of_order, check_fits
 from .item import Item, validate_items
 from .resources import (
     Resources,
@@ -66,6 +68,10 @@ __all__ = ["Simulator", "simulate", "SimulationError"]
 
 class SimulationError(RuntimeError):
     """Raised for protocol violations (bad algorithm choice, time travel...)."""
+
+
+def _duplicate_id(item_id: str) -> SimulationError:
+    return SimulationError(f"duplicate item id {item_id!r}")
 
 
 def _indexed_is_authoritative(cls: type) -> bool:
@@ -234,7 +240,7 @@ class Simulator:
             item_id = f"r{self._auto_id}"
             self._auto_id += 1
         if item_id in self._active or item_id in self._assignment:
-            raise SimulationError(f"duplicate item id {item_id!r}")
+            raise _duplicate_id(item_id)
 
         view = Arrival(item_id=item_id, size=size, arrival=time, tag=tag)
         choice: Any = NotImplemented
@@ -578,10 +584,26 @@ def simulate(
     Sequence inputs (lists, tuples, :class:`~repro.workloads.trace.Trace`)
     may be in any order; they are validated up front and merged lazily, so
     the full 2n event list is never materialized.  One-shot iterators
-    (generators) are **streamed**: items must then arrive in non-decreasing
-    arrival order and are validated on the fly, never held all at once.
+    (generators) must yield non-decreasing arrivals; record mode keeps
+    O(n) history anyway, so an iterator is read in full before the first
+    event, raising the admission errors a streamed run raises (oversize,
+    out of order, dimension mismatch, duplicate id) in the order it would.
     For O(active items) memory end to end — no PackingResult history —
     use :func:`repro.core.streaming.simulate_stream` instead.
+
+    An exact trace (``int``/``Fraction`` capacity and scalar sizes) runs
+    on the integer lattice of :mod:`repro.core.numeric`: the kernel sees
+    every size and the capacity multiplied by ``D``, the lcm of their
+    denominators, and makes the decisions the unscaled run makes, with
+    ``int`` arithmetic.  The result is mapped back — the caller's items
+    and capacity, equal to the unscaled run's result — and so is the
+    repacker's state (see ``unscale`` in
+    :class:`~repro.core.streaming.StreamRepacker`).  A run stays in the
+    caller's units when something outside the engine would see a scaled
+    size: observers, a flavour-aware algorithm (``new_bin_capacity`` or
+    ``max_bin_capacity``), a repacker without ``unscale``, or a float
+    attribute on the algorithm or repacker (a float parameter such as
+    MFF's ``k`` rounds differently at another scale).
 
     Parameters
     ----------
@@ -619,26 +641,101 @@ def simulate(
     2
     """
     cap_limit = capacity if max_bin_capacity is None else max_bin_capacity
-    trace = None if isinstance(items, _Iterator) else validate_items(items, capacity=cap_limit)
+    if isinstance(items, _Iterator):
+        trace = _read_stream(items, capacity, cap_limit)
+    else:
+        trace = validate_items(items, capacity=cap_limit)
+    if repacker is not None:
+        repacker.reset()  # first: the scale check reads its attributes
+    scale = None
+    if not (observers or max_bin_capacity is not None):
+        scale = _run_scale(trace, capacity, algorithm, repacker)
+    ordered, seqs = _by_arrival(trace)
+    if scale is not None:
+        arrivals = list(ordered)
+        ordered = (_on_lattice(item, scale) for item in arrivals)
     sim = Simulator(
         algorithm,
-        capacity=capacity,
+        capacity=capacity if scale is None else to_lattice(cast(int, capacity), scale),
         cost_rate=cost_rate,
         strict=strict,
         indexed=indexed,
         observers=observers,
     )
-    if repacker is not None:
-        repacker.reset()
-    if trace is None:
-        # Streamed: the kernel checks each item as it pulls it.
-        kernel = _merge_events(items, sim=sim, hooks=repacker, capacity=cap_limit)
-    else:
-        kernel = _merge_events(*_by_arrival(trace), sim=sim, hooks=repacker)
     # Run the kernel to the end: it applies every event to ``sim`` itself
     # and yields only server failures, which this run has none of.
-    deque(kernel, maxlen=0)
+    deque(_merge_events(ordered, seqs, sim=sim, hooks=repacker), maxlen=0)
     result = sim.finish()
+    if scale is not None:
+        # The caller's items, in the arrival issue order finish() lists,
+        # and the caller's capacity.
+        result = replace(
+            result,
+            capacity=capacity,
+            items=tuple(arrivals),
+            bins=tuple(replace(record, capacity=capacity) for record in result.bins),
+        )
+        if repacker is not None:
+            repacker.unscale(scale)  # type: ignore[attr-defined]
     if check:
         result.check_invariants()
     return result
+
+
+def _read_stream(items: Iterator[Item], capacity: Size, cap_limit: Size) -> list[Item]:
+    """Read a one-shot iterator, raising what a streamed run would raise.
+
+    Per item, in stream order: the kernel's fit check against
+    ``cap_limit`` and its arrival-order check, then the simulator's
+    dimension and duplicate-id checks at admission.
+    """
+    trace: list[Item] = []
+    seen: set[str] = set()
+    dims = dims_of(capacity)
+    dims_fixed = isinstance(capacity, Resources)
+    last_arrival: Num | None = None
+    for item in items:
+        check_fits(item, cap_limit)
+        if last_arrival is not None and item.arrival < last_arrival:
+            raise _out_of_order(item, last_arrival)
+        last_arrival = item.arrival
+        item_dims = dims_of(item.size)
+        if not dims_fixed:
+            dims, dims_fixed = item_dims, True
+        elif item_dims != dims:
+            raise ResourceDimensionError(dims, item_dims, item_id=item.item_id)
+        if item.item_id in seen:
+            raise _duplicate_id(item.item_id)
+        seen.add(item.item_id)
+        trace.append(item)
+    return trace
+
+
+def _run_scale(
+    trace: list[Item],
+    capacity: Size,
+    algorithm: PackingAlgorithm,
+    repacker: "StreamRepacker | None",
+) -> int | None:
+    """``D > 1`` when this run goes on the integer lattice, else ``None``.
+
+    The algorithm and the repacker see scaled sizes, so they must make the
+    same decisions at any scale: an algorithm that opens bins of its own
+    capacity answers in the caller's units, a float attribute (MFF's
+    ``k``, a migration factor) rounds differently at another magnitude,
+    and a repacker must be able to map its state back (``unscale``).
+    """
+    if type(algorithm).new_bin_capacity is not PackingAlgorithm.new_bin_capacity:
+        return None
+    if repacker is not None and not hasattr(repacker, "unscale"):
+        return None
+    for part in (algorithm, repacker):
+        if any(isinstance(value, float) for value in getattr(part, "__dict__", {}).values()):
+            return None
+    scale = lattice_scale(capacity, (item.size for item in trace))
+    return scale if scale is not None and scale > 1 else None
+
+
+def _on_lattice(item: Item, scale: int) -> Item:
+    size = cast(int, item.size)
+    return Item(item.arrival, item.departure, to_lattice(size, scale), item.item_id, item.tag)

@@ -55,6 +55,12 @@ class StreamRepacker(Protocol):
     inside event processing, before any checkpoint is shipped, so
     checkpoint/resume stays exact: a checkpoint always reflects the fully
     repacked state plus :meth:`checkpoint_state`'s budget counters.
+
+    A repacker may also define ``unscale(scale: int)``, dividing every
+    size-valued counter by ``scale``.  Record-mode
+    :func:`~repro.core.simulator.simulate` runs an exact trace on the
+    integer lattice (sizes times ``scale``) only with a repacker that has
+    it, and calls it after the run.
     """
 
     def reset(self) -> None:

@@ -11,16 +11,22 @@ module solves those snapshots:
   the experiments;
 * sweep integrators turning per-snapshot counts into bounds on
   ``OPT_total = ∫ OPT(R,t)·C dt``.
+
+The solvers return bin counts, so an exact trace's sweep runs on the
+integer lattice of :mod:`repro.core.numeric` — every size and the capacity
+multiplied by the lcm ``D`` of their denominators — with nothing to map
+back: ``int`` comparisons and sums decide as the ``Fraction`` ones do.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, cast
 
 from ..core.events import EventKind, compile_events
 from ..core.item import Item
+from ..core.numeric import lattice_scale, quotient, to_lattice
 from .lower_bounds import robust_ceil
 
 __all__ = [
@@ -79,7 +85,7 @@ def l2_lower_bound(sizes: Sequence[numbers.Real], capacity: numbers.Real = 1) ->
     for s in items:
         if s > capacity + eps:
             raise ValueError(f"size {s} exceeds capacity {capacity}")
-    half = capacity / 2
+    half = quotient(capacity, 2)
     candidates = {0}
     for s in items:
         if s <= half + eps:
@@ -98,7 +104,7 @@ def l2_lower_bound(sizes: Sequence[numbers.Real], capacity: numbers.Real = 1) ->
             elif s >= alpha - eps:
                 j3_volume = j3_volume + s
         overflow = j3_volume - j2_residual
-        extra = robust_ceil(overflow / capacity) if overflow > eps else 0
+        extra = robust_ceil(quotient(overflow, capacity)) if overflow > eps else 0
         best = max(best, j1 + j2 + extra)
     return best
 
@@ -138,7 +144,7 @@ def exact_bin_count(
             raise ValueError(f"sizes must be positive, got {s}")
 
     best = ffd_bin_count(items, capacity)
-    root_lb = robust_ceil(sum(items) / capacity)
+    root_lb = robust_ceil(quotient(sum(items), capacity))
     if best <= root_lb:
         return best
 
@@ -167,7 +173,7 @@ def exact_bin_count(
         free = sum(residuals)
         overflow = suffix[i] - free
         if overflow > eps:
-            extra = robust_ceil(overflow / capacity)
+            extra = robust_ceil(quotient(overflow, capacity))
             if len(residuals) + extra >= best:
                 return
         size = items[i]
@@ -213,29 +219,55 @@ def snapshot_profile(
     Returns ``(times, counts)``: ``counts[i]`` holds on
     ``[times[i], times[i+1])``; the final count is zero.
     """
-    if method not in ("ffd", "exact"):
-        raise ValueError(f"method must be 'ffd' or 'exact', got {method!r}")
+    if method == "ffd":
+        return _sweep(items, capacity, ffd_bin_count)
+    if method == "exact":
+        return _sweep(
+            items,
+            capacity,
+            lambda sizes, cap: exact_bin_count(sizes, cap, node_limit=node_limit),
+        )
+    raise ValueError(f"method must be 'ffd' or 'exact', got {method!r}")
+
+
+def _sweep(
+    items: Iterable[Item],
+    capacity: numbers.Real,
+    count: Callable[[list[numbers.Real], numbers.Real], int],
+) -> tuple[list[numbers.Real], list[int]]:
+    """``count`` the active sizes after the events at each event time.
+
+    An exact trace's sizes and capacity go on the integer lattice first
+    (``count`` returns a bin count, which needs no mapping back).  A trace
+    with an oversize item stays in the caller's units, where ``count``
+    raises its size error.
+    """
+    events = compile_events(items)
+    sizes: list[numbers.Real] = [
+        ev.item.size for ev in events if ev.kind is EventKind.ARRIVAL
+    ]
+    scale = lattice_scale(capacity, sizes)
+    if scale is not None and scale > 1:
+        lattice: list[numbers.Real] = [to_lattice(cast(int, s), scale) for s in sizes]
+        lattice_capacity = to_lattice(cast(int, capacity), scale)
+        if max(lattice, default=0) <= lattice_capacity:
+            sizes, capacity = lattice, lattice_capacity
+    size_of_next_arrival = iter(sizes).__next__
     active: dict[str, numbers.Real] = {}
     times: list[numbers.Real] = []
     counts: list[int] = []
-    events = compile_events(items)
     i = 0
     while i < len(events):
         t = events[i].time
         while i < len(events) and events[i].time == t:
             ev = events[i]
             if ev.kind is EventKind.ARRIVAL:
-                active[ev.item.item_id] = ev.item.size
+                active[ev.item.item_id] = size_of_next_arrival()
             else:
                 del active[ev.item.item_id]
             i += 1
-        sizes = list(active.values())
-        if method == "ffd":
-            count = ffd_bin_count(sizes, capacity)
-        else:
-            count = exact_bin_count(sizes, capacity, node_limit=node_limit)
         times.append(t)
-        counts.append(count)
+        counts.append(count(list(active.values()), capacity))
     return times, counts
 
 
@@ -284,23 +316,4 @@ def opt_total_l2_lower_bound(
     big items coexist (items above W/2 cannot share bins), tightening the
     OPT bracket on large-item workloads.
     """
-    active: dict[str, numbers.Real] = {}
-    events = compile_events(items)
-    total: numbers.Real = 0
-    i = 0
-    prev_time: numbers.Real | None = None
-    prev_count = 0
-    while i < len(events):
-        t = events[i].time
-        if prev_time is not None and prev_count:
-            total = total + prev_count * (t - prev_time)
-        while i < len(events) and events[i].time == t:
-            ev = events[i]
-            if ev.kind is EventKind.ARRIVAL:
-                active[ev.item.item_id] = ev.item.size
-            else:
-                del active[ev.item.item_id]
-            i += 1
-        prev_time = t
-        prev_count = l2_lower_bound(list(active.values()), capacity)
-    return cost_rate * total
+    return cost_rate * _integrate(*_sweep(items, capacity, l2_lower_bound))

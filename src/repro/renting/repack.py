@@ -28,6 +28,7 @@ that takes an item.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from ..core.numeric import Num
@@ -101,6 +102,21 @@ class BoundedRepacker:
         if self.factor == 0 or not self.consolidate_on_departure:
             return
         self._consolidate(sim)
+
+    def unscale(self, scale: int) -> None:
+        """Divide the budget and ``size_moved`` by ``scale``.
+
+        Record-mode :func:`~repro.core.simulator.simulate` runs an exact
+        trace with every size multiplied by ``scale`` (the integer lattice
+        of :mod:`repro.core.numeric`) and maps this state back to the
+        caller's units through here.  A counter the run changed reads as a
+        ``Fraction`` equal to the unscaled run's value.
+        """
+        if self.factor == 0:
+            return  # nothing accrued, nothing moved
+        self._budget = Fraction(self._budget, scale)
+        if self.bins_emptied:
+            self.size_moved = Fraction(self.size_moved, scale)
 
     def checkpoint_state(self) -> dict[str, Any]:
         return {

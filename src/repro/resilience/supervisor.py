@@ -139,7 +139,9 @@ def _supervise(
     """The restart loop shared by both supervised entry points.
 
     Each attempt resumes from the newest generation that verifies and has
-    not failed to restore.  An attempt that resumed from generation ``g``
+    not failed to restore; every newer generation it passes counts in
+    ``corrupt_generations_skipped``, and so does every generation when none
+    verifies (the attempt then starts from scratch).  An attempt that resumed from generation ``g``
     and raised :class:`~repro.core.validation.CheckpointFormatError` (its
     payload decoded but some state did not restore) marks ``g`` corrupt,
     whatever ``recover_on`` says: ``g`` counts in
@@ -158,12 +160,20 @@ def _supervise(
     #: Generations that verified but could not be restored.
     unrestorable: set[int] = set()
     while True:
+        below: int | None = None
         entry = store.latest_good()
         while entry is not None and entry.generation in unrestorable:
             corrupt_skipped += len(entry.skipped) + 1
-            entry = store.latest_good(below=entry.generation)
+            below = entry.generation
+            entry = store.latest_good(below=below)
         resume_from: StreamCheckpoint | None = None
-        if entry is not None:
+        if entry is None:
+            # No generation (below ``below``) verified: every one of them
+            # was skipped, though ``latest_good`` reports no skips then.
+            corrupt_skipped += sum(
+                1 for g in store.generations() if below is None or g < below
+            )
+        else:
             corrupt_skipped += len(entry.skipped)
             resume_from = entry.checkpoint
             resumed.append(entry.generation)

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached facts pickle (schema change).
-FACTS_SCHEMA_VERSION = 2
+FACTS_SCHEMA_VERSION = 3
 
 
 # --------------------------------------------------------------------------
@@ -267,7 +267,8 @@ _RNG_SEEDED_TYPES = frozenset(
     {"Generator", "SeedSequence", "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"}
 )
 #: Generator constructors: deterministic only when given a seed argument.
-_RNG_SEEDABLE_CTORS = frozenset({"Random", "SystemRandom", "default_rng", "RandomState"})
+#: ``SystemRandom`` is not one: it ignores its seed and reads ``os.urandom``.
+_RNG_SEEDABLE_CTORS = frozenset({"Random", "default_rng", "RandomState"})
 _IO_BUILTINS = frozenset({"print", "input", "open", "breakpoint"})
 _SUBPROCESS_FNS = frozenset({"run", "call", "Popen", "check_output", "check_call"})
 _OS_IO_FNS = frozenset({"system", "popen"})
@@ -486,7 +487,7 @@ class _Imports:
                     elif mod == "time" and alias.name in _WALLCLOCK_TIME_FNS:
                         self.from_time.add(bound)
                         self._site("reads-clock", imported, node)
-                    elif mod == "random" and alias.name not in ("Random", "SystemRandom"):
+                    elif mod == "random" and alias.name != "Random":
                         self.from_random.add(bound)
                         self._site("global-rng", imported, node)
                     elif mod in _MATH_MODULES:

@@ -23,6 +23,10 @@ def bad_numpy_default_rng():
     return np.random.default_rng()  # DBP001: no seed
 
 
+def bad_system_random():
+    return random.SystemRandom(SEED).random()  # DBP001: SystemRandom ignores its seed
+
+
 def good_seeded_ctor():
     return random.Random(SEED)
 

@@ -145,6 +145,27 @@ class TestModifiedFirstFit:
         assert result.bins[result.assignment["h-0"]].label == LARGE
         assert result.bins[result.assignment["h-1"]].label == SMALL
 
+    def test_exact_boundary_with_an_int_capacity(self):
+        # W/k with an int W and an int k is exact: 1/5 is LARGE at k = 5,
+        # not SMALL by float rounding (1/5 < 0.2 as floats compare).
+        from repro.algorithms import Arrival
+
+        algo = ModifiedFirstFit(k=5)
+        algo.reset(1)
+        assert algo.classify(Arrival("a", Fraction(1, 5), 0)) == LARGE
+        items = make_items([(0, 4, Fraction(1, 5)), (0, 4, Fraction(4, 5))], prefix="h")
+        result = simulate(items, ModifiedFirstFit(k=5))
+        assert result.bins[result.assignment["h-0"]].label == LARGE
+        assert result.num_bins_used == 1
+
+    def test_float_capacity_keeps_a_float_threshold(self):
+        from repro.algorithms import Arrival
+
+        algo = ModifiedFirstFit(k=5)
+        algo.reset(1.0)
+        assert algo.classify(Arrival("a", 0.2, 0)) == LARGE
+        assert algo.classify(Arrival("b", Fraction(1, 5), 0)) == SMALL
+
     def test_first_fit_within_pool(self):
         items = make_items(
             [(0, 10, 0.04), (0, 10, 0.04), (1, 10, 0.04)]
@@ -162,6 +183,16 @@ class TestHarmonicFit:
         assert algo.classify(Arrival("a", 0.9, 0)) == 1  # (1/2, 1]
         assert algo.classify(Arrival("b", 0.4, 0)) == 2  # (1/3, 1/2]
         assert algo.classify(Arrival("c", 0.05, 0)) == 3  # ≤ 1/3 bucket
+
+    def test_exact_class_boundaries(self):
+        # Class j holds (W/(j+1), W/j]: an item of size exactly W/j is in
+        # class j, not one class higher by a rounded int / int boundary.
+        from repro.algorithms import Arrival
+
+        algo = HarmonicFit(num_classes=8)
+        algo.reset(1)
+        for j in (3, 6, 7):
+            assert algo.classify(Arrival(f"s{j}", Fraction(1, j), 0)) == j
 
     def test_single_class_behaves_like_first_fit(self):
         items = make_items([(0, 9, 0.4), (0, 9, 0.5), (1, 9, 0.4), (2, 9, 0.2)], prefix="h")

@@ -237,6 +237,26 @@ class TestWholeProgram:
         assert [v.line for v in impure] == sorted(marked_lines(source, "DBP001"))
         assert "global-rng" in impure[0].message
 
+    def test_system_random_is_never_seeded(self):
+        # SystemRandom ignores its seed argument and reads os.urandom.
+        source = (
+            "import random\n"
+            "from random import SystemRandom  # DBP001\n"
+            "\n"
+            + OBSERVER_BASE
+            + "\n"
+            "class Jitter(SimulationObserver):\n"
+            "    def on_arrival(self, time, item, bin, opened):\n"
+            "        self.x = random.SystemRandom(7).random()  # DBP001\n"
+            "        self.y = SystemRandom(7).random()  # DBP001\n"
+        )
+        report = analyze(source)
+        assert lines_fired(source, "DBP001") == marked_lines(source, "DBP001")
+        # DBP013 reports a hook once, at its first impure line.
+        impure = [v for v in report.violations if v.code == "DBP013"]
+        assert [v.line for v in impure] == [sorted(marked_lines(source, "DBP001"))[1]]
+        assert "global-rng via random.SystemRandom()" in impure[0].message
+
     def test_seedless_construction_reaches_dbp013(self):
         source = (
             "import numpy as np\n"

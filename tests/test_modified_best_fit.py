@@ -25,6 +25,19 @@ class TestBasics:
         with pytest.raises(RuntimeError):
             algo.classify(item)
 
+    def test_exact_boundary_with_an_int_capacity(self):
+        from fractions import Fraction
+
+        from repro.algorithms import LARGE, Arrival
+
+        algo = ModifiedBestFit(k=5)
+        algo.reset(1)
+        assert algo.classify(Arrival("a", Fraction(1, 5), 0)) == LARGE
+        items = make_items([(0, 4, Fraction(1, 5)), (0, 4, Fraction(4, 5))], prefix="h")
+        result = simulate(items, ModifiedBestFit(k=5))
+        assert result.bins[result.assignment["h-0"]].label == LARGE
+        assert result.num_bins_used == 1
+
     def test_repr_names_k(self):
         assert repr(ModifiedBestFit(k=4)) == "ModifiedBestFit(k=4)"
 

@@ -370,6 +370,35 @@ class TestRecoveryBehaviour:
         assert supervised.stats.resumed_generations == (1, 0)
         assert supervised.summary == base
 
+    def test_every_generation_corrupt_counts_them_all(self, tmp_path):
+        # With no generation that verifies, the run restarts from scratch
+        # and the skipped generations still count.
+        store = CheckpointStore(tmp_path, keep=4)
+        dispatch_stream(
+            _scalar_items(),
+            FirstFit(),
+            checkpoint_every=CHECKPOINT_EVERY,
+            on_checkpoint=store.save,
+        )
+        assert len(store.generations()) == 4
+        for generation in store.generations():
+            store.path_for(generation).write_bytes(b"rotted")
+        metrics = MetricsRegistry()
+        supervised = supervised_dispatch_stream(
+            _scalar_items,
+            FirstFit,
+            store=store,
+            checkpoint_every=CHECKPOINT_EVERY,
+            max_restarts=0,
+            metrics=metrics,
+        )
+        assert supervised.stats.crashes == 0
+        assert supervised.stats.resumed_generations == ()
+        assert supervised.stats.corrupt_generations_skipped == 4
+        counters = metrics.snapshot()["counters"]
+        assert counters["dbp_resilience_corrupt_generations_total"] == 4
+        assert supervised.report == dispatch_stream(_scalar_items(), FirstFit())
+
     def test_metrics_published(self, tmp_path):
         metrics = MetricsRegistry()
         supervised_stream(
