@@ -22,7 +22,7 @@ from ..core.item import Item
 from ..core.result import PackingResult
 from ..opt.load import load_profile
 from ..opt.lower_bounds import robust_ceil
-from ..opt.snapshot import snapshot_profile
+from ..opt.snapshot import _sweep, l2_lower_bound, snapshot_profile
 
 __all__ = [
     "max_bins_lower_bound",
@@ -53,24 +53,8 @@ def max_bins_lower_bound(
         return max((robust_ceil(load / capacity) for load in loads), default=0)
     if method != "l2":
         raise ValueError(f"method must be 'load' or 'l2', got {method!r}")
-    from ..opt.snapshot import l2_lower_bound
-    from ..core.events import EventKind, compile_events
-
-    active: dict[str, numbers.Real] = {}
-    best = 0
-    events = compile_events(items)
-    i = 0
-    while i < len(events):
-        t = events[i].time
-        while i < len(events) and events[i].time == t:
-            ev = events[i]
-            if ev.kind is EventKind.ARRIVAL:
-                active[ev.item.item_id] = ev.item.size
-            else:
-                del active[ev.item.item_id]
-            i += 1
-        best = max(best, l2_lower_bound(list(active.values()), capacity))
-    return best
+    _, counts = _sweep(items, capacity, l2_lower_bound)
+    return max(counts, default=0)
 
 
 def max_bins_exact(

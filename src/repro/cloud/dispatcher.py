@@ -282,6 +282,7 @@ class CloudGamingDispatcher:
     ) -> int:
         """Dispatch a playing request; returns the server index serving it."""
         placed = self._sim.arrive(time, gpu_demand, item_id=request_id, tag=game)
+        assert placed is not None, "an uncapped fleet admits every session"
         return placed.index
 
     def end_session(self, request_id: str, time: Num) -> None:

@@ -373,7 +373,6 @@ def simulate_faulty_stream(
     recovery: str = RECONNECT,
     capacity: Num = 1,
     cost_rate: Num = 1,
-    strict: bool = True,
     indexed: bool = True,
     observers: Sequence[SimulationObserver] = (),
     record_induced: bool = False,
@@ -412,7 +411,6 @@ def simulate_faulty_stream(
         algorithm,
         capacity=capacity,
         cost_rate=cost_rate,
-        strict=strict,
         indexed=indexed,
         record=False,
         observers=observers,

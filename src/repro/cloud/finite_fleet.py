@@ -17,26 +17,32 @@ Semantics:
 * Placement uses any online packing algorithm; ``OPEN_NEW`` is honoured
   only below the fleet cap.
 
-This engine intentionally reuses :class:`~repro.core.bin.Bin` but not the
-infinite-supply simulator: the departure times depend on admission times,
-which the core replay cannot know up front.
+The run is the event kernel of :mod:`repro.core.events` — the one loop
+behind ``simulate`` and every stream — on a
+:class:`~repro.core.simulator.Simulator` whose bin-opening step declines
+at the cap, so placement gets the indexed First Fit / Best Fit query and
+the engine's placement checks.  A kernel hook queues or drops each
+refused request and, after every departure, re-offers the queue head at
+that instant; an admitted head's departure goes on the kernel's heap,
+since it depends on the admission time.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable, Iterator, cast
 
 from ..core.numeric import Num
-from ..algorithms.base import Arrival, OPEN_NEW, PackingAlgorithm
+from ..algorithms.base import Arrival, PackingAlgorithm
 from ..core.bin import Bin
-from ..core.cost import CostModel
-from ..core.item import Item
-from ..core.resources import oversize_dimension, size_fits
-from ..core.validation import OversizedItemError
-from .dispatcher import ServerType
+from ..core.events import Entry, EventKind, _merge_events
+from ..core.item import Item, validate_items
+from ..core.resources import Size
+from ..core.simulator import Simulator
+from .dispatcher import ServerType, _BillingMeter
 
 __all__ = ["AdmissionPolicy", "QueueingReport", "FiniteFleetDispatcher", "serve_with_fleet_limit"]
 
@@ -45,12 +51,6 @@ QUEUE = "queue"
 DROP = "drop"
 AdmissionPolicy = str
 _POLICIES = (QUEUE, DROP)
-
-
-@dataclass(frozen=True, slots=True)
-class _Request:
-    item: Item
-    seq: int
 
 
 @dataclass(slots=True)
@@ -87,8 +87,63 @@ class QueueingReport:
         return sum(1 for w in self.waits if w > 0) / len(self.waits)
 
 
+class _CappedFleet(Simulator):
+    """A simulator that declines to open a server at the fleet cap."""
+
+    def __init__(self, algorithm: PackingAlgorithm, fleet_limit: int, **options: Any) -> None:
+        super().__init__(algorithm, record=False, **options)
+        self.fleet_limit = fleet_limit
+
+    def _open_bin(self, view: Arrival, time: Num, capacity: Size | None) -> Bin | None:
+        if len(self._bins) >= self.fleet_limit:
+            return None
+        return super()._open_bin(view, time, capacity)
+
+
+class _FleetQueue:
+    """The capped fleet's side of the event kernel.
+
+    The kernel offers each request to the fleet at its arrival; one the
+    cap refused is queued here (FIFO) or dropped.  After every departure
+    the queue head is offered again at that instant, with its full
+    duration, until one is refused; an admitted head's departure goes on
+    the kernel's heap with a tiebreak drawn from the kernel's admission
+    counter, so same-instant departures leave in admission order.
+    """
+
+    def __init__(self, pending: list[Entry], seqs: Iterator[int], policy: AdmissionPolicy) -> None:
+        self.pending = pending
+        self.seqs = seqs
+        self.policy = policy
+        self.waiting: deque[Item] = deque()
+        self.waits: list[Num] = []  #: per served request, in admission order
+        self.dropped = 0
+
+    def after_arrival(self, sim: Simulator, item: Item) -> None:
+        if item.item_id in sim._active:
+            self.waits.append(cast(Num, sim.now) - item.arrival)
+        elif self.policy == QUEUE:
+            self.waiting.append(item)
+        else:
+            self.dropped += 1
+
+    def after_departure(self, sim: Simulator, item_id: str) -> None:
+        now = cast(Num, sim.now)
+        waiting = self.waiting
+        while waiting:
+            head = waiting[0]
+            if sim.arrive(now, head.size, head.item_id, head.tag) is None:
+                return
+            waiting.popleft()
+            heapq.heappush(
+                self.pending,
+                (now + head.length, EventKind.DEPARTURE, next(self.seqs), head.item_id),
+            )
+            self.waits.append(now - head.arrival)
+
+
 class FiniteFleetDispatcher:
-    """Event-driven engine for capped fleets (driven via :func:`serve_with_fleet_limit`)."""
+    """Serves traces on a capped fleet (driven via :func:`serve_with_fleet_limit`)."""
 
     def __init__(
         self,
@@ -107,65 +162,14 @@ class FiniteFleetDispatcher:
         self.server_type = server_type or ServerType()
         self.policy = policy
 
-        self._open: list[Bin] = []
-        self._all: list[Bin] = []
-        self._heap: list[tuple[Num, int, str, Bin]] = []  # departures
-        self._queue: deque[_Request] = deque()
-        self._waits: list[Num] = []
-        self._served = 0
-        self._dropped = 0
-        self._peak = 0
-        self._tiebreak = 0
-        algorithm.reset(self.server_type.gpu_capacity)
-
-    # ------------------------------------------------------------- internals
-
-    def _try_place(self, request: _Request, now: Num) -> bool:
-        item = request.item
-        view = Arrival(item_id=item.item_id, size=item.size, arrival=now, tag=item.tag)
-        choice = self.algorithm.choose_bin(view, self._open)
-        if choice is OPEN_NEW or choice is None:
-            if len(self._open) >= self.fleet_limit:
-                return False
-            target = Bin(index=len(self._all), capacity=self.server_type.gpu_capacity)
-            target.add(view, now)
-            self._open.append(target)
-            self._all.append(target)
-            self.algorithm.on_bin_opened(target, view)
-        else:
-            target = choice  # type: ignore[assignment]
-            if not target.fits(view):
-                raise RuntimeError(
-                    f"algorithm {self.algorithm.name!r} chose an unfit bin for "
-                    f"{item.item_id!r}"
-                )
-            target.add(view, now)
-        self._peak = max(self._peak, len(self._open))
-        departure = now + item.length
-        self._tiebreak += 1
-        heapq.heappush(self._heap, (departure, self._tiebreak, item.item_id, target))
-        self._waits.append(now - item.arrival)
-        self._served += 1
-        return True
-
-    def _drain_departures(self, until: Num) -> None:
-        """Process departures ≤ ``until``; admit queued requests after each."""
-        while self._heap and self._heap[0][0] <= until:
-            time, _, item_id, target = heapq.heappop(self._heap)
-            target.remove(item_id, time)
-            if target.is_closed:
-                self._open.remove(target)
-            self.algorithm.on_item_departed(item_id, target)
-            self._admit_from_queue(time)
-
-    def _admit_from_queue(self, now: Num) -> None:
-        while self._queue and self._try_place(self._queue[0], now):
-            self._queue.popleft()
-
-    # ------------------------------------------------------------------ API
-
     def serve(self, items: Iterable[Item]) -> QueueingReport:
         """Serve a whole trace; returns the queueing report.
+
+        Requests are offered in ``(arrival, item_id)`` order and checked up
+        front by :func:`~repro.core.item.validate_items`, before any is
+        served: a repeated id raises
+        :class:`~repro.core.validation.DuplicateItemIdError`, as
+        :func:`~repro.core.simulator.simulate` does.
 
         Raises
         ------
@@ -173,54 +177,38 @@ class FiniteFleetDispatcher:
             If any request demands more than one server's capacity.  Such
             a request could never be admitted: under ``QUEUE`` it would
             block the FIFO queue forever, under ``DROP`` silently
-            discarding it would misreport the drop as congestion.  Both
-            policies reject it up front, before any request is served.
+            discarding it would misreport the drop as congestion.
         """
-        requests = [
-            _Request(item=item, seq=i)
-            for i, item in enumerate(
-                sorted(items, key=lambda it: (it.arrival, it.item_id))
-            )
-        ]
-        capacity = self.server_type.gpu_capacity
-        for request in requests:
-            if not size_fits(request.item.size, capacity):
-                raise OversizedItemError(
-                    request.item.size,
-                    capacity,
-                    item_id=request.item.item_id,
-                    dimension=oversize_dimension(request.item.size, capacity),
-                )
-        n = len(requests)
-        for request in requests:
-            self._drain_departures(request.item.arrival)
-            if not self._try_place(request, request.item.arrival):
-                if self.policy == QUEUE:
-                    self._queue.append(request)
-                else:
-                    self._dropped += 1
-        # Drain everything; queued requests admit as capacity frees.
-        while self._heap:
-            self._drain_departures(self._heap[0][0])
-        assert not self._queue, "queue failed to drain after all departures"
-
-        continuous = self.server_type.continuous_model()
-        billed: CostModel = self.server_type.billed_model()
-        total = 0
-        billed_total = 0
-        for b in self._all:
-            total = total + continuous.bin_cost(b.usage_length)
-            billed_total = billed_total + billed.bin_cost(b.usage_length)
+        server_type = self.server_type
+        requests = validate_items(
+            sorted(items, key=lambda it: (it.arrival, it.item_id)),
+            capacity=server_type.gpu_capacity,
+        )
+        meter = _BillingMeter(server_type.billed_model())
+        sim = _CappedFleet(
+            self.algorithm,
+            self.fleet_limit,
+            capacity=server_type.gpu_capacity,
+            cost_rate=server_type.rate,
+            observers=(meter,),
+        )
+        pending: list[Entry] = []
+        seqs = itertools.count()
+        queue = _FleetQueue(pending, seqs, self.policy)
+        # The kernel applies every event to ``sim`` and yields nothing here.
+        deque(_merge_events(requests, seqs, pending=pending, sim=sim, hooks=queue), maxlen=0)
+        assert not queue.waiting, "queue failed to drain after all departures"
+        summary = sim.finish_summary()
         return QueueingReport(
             fleet_limit=self.fleet_limit,
             policy=self.policy,
-            num_requests=n,
-            num_served=self._served,
-            num_dropped=self._dropped,
-            total_cost=total,
-            billed_cost=billed_total,
-            peak_servers=self._peak,
-            waits=self._waits,
+            num_requests=len(requests),
+            num_served=summary.num_items,
+            num_dropped=queue.dropped,
+            total_cost=summary.total_cost,
+            billed_cost=meter.billed,
+            peak_servers=summary.peak_open_bins,
+            waits=queue.waits,
         )
 
 

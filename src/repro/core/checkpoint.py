@@ -202,7 +202,6 @@ class StreamCheckpoint:
         self,
         algorithm: "PackingAlgorithm",
         *,
-        strict: bool = True,
         indexed: bool = True,
         observers: Sequence[SimulationObserver] = (),
     ) -> tuple[Simulator, list[Entry]]:
@@ -237,7 +236,6 @@ class StreamCheckpoint:
             algorithm,
             capacity=self.capacity,
             cost_rate=self.cost_rate,
-            strict=strict,
             indexed=indexed,
             record=False,
             observers=observers,

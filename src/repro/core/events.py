@@ -3,11 +3,12 @@
 Every driver runs the single generator :func:`_merge_events` —
 :func:`~repro.core.simulator.simulate`,
 :func:`~repro.core.streaming.simulate_stream` (plain, checkpointed and
-resumed) and :func:`~repro.cloud.faults.simulate_faulty_stream` — and so
-do the public :func:`iter_events` and :func:`compile_events`.  The kernel
-merges two things: the arrival-ordered item source, and one heap of
-pending engine events keyed ``(time, class, seq)``.  At one instant the
-classes run in :class:`EventKind` order:
+resumed), :func:`~repro.cloud.faults.simulate_faulty_stream` and the
+capped fleet of :mod:`repro.cloud.finite_fleet` — and so do the public
+:func:`iter_events` and :func:`compile_events`.  The kernel merges two
+things: the arrival-ordered item source, and one heap of pending engine
+events keyed ``(time, class, seq)``.  At one instant the classes run in
+:class:`EventKind` order:
 
 1. **departures**, in ``seq`` order (an item's trace position);
 2. **server failures** — a session departing exactly when its server dies
@@ -97,7 +98,12 @@ Ship = Callable[[list[Entry], int, int, "Num | None"], None]
 
 
 class _Hooks(Protocol):
-    """What the kernel calls after every admission and departure."""
+    """What the kernel calls after every arrival and departure it applies.
+
+    ``after_arrival`` runs whether or not the simulator admitted the item:
+    only a simulator that declines a bin refuses one (a capped fleet, see
+    :mod:`repro.cloud.finite_fleet`), and its hook handles the refusal.
+    """
 
     def after_arrival(self, sim: Simulator, item: Item) -> None: ...
 
@@ -176,7 +182,8 @@ def _merge_events(
     admission — a stream arrival, or a :attr:`EventKind.READMISSION` entry
     someone scheduled — draws its departure tiebreak from ``seqs``
     (default: trace positions counting from ``consumed``) and schedules
-    its departure on the heap.
+    its departure on the heap — with a ``sim``, only if it admitted the
+    item.
 
     Without a ``sim`` the kernel yields every event as a ``(time, class,
     seq, payload)`` entry.  With one, it applies admissions and departures
@@ -254,11 +261,12 @@ def _merge_events(
                 push(pending, (payload.departure, _DEPARTURE, seq, payload))
                 yield (time, cls, seq, payload)
             else:
-                # Only the id: a heap entry of atoms is not tracked by the
-                # garbage collector, which would otherwise walk every
+                # A refused arrival (``None``) has no departure.  Only the
+                # id goes on the heap: an entry of atoms is not tracked by
+                # the garbage collector, which would otherwise walk every
                 # active item's entry on each collection.
-                push(pending, (payload.departure, _DEPARTURE, seq, payload.item_id))
-                arrive(time, payload.size, payload.item_id, payload.tag)
+                if arrive(time, payload.size, payload.item_id, payload.tag) is not None:
+                    push(pending, (payload.departure, _DEPARTURE, seq, payload.item_id))
                 if hooks is not None:
                     after_arrival(sim, payload)
         events += 1

@@ -108,9 +108,6 @@ class Simulator:
         Bin capacity ``W`` (default 1, as in the paper's proofs).
     cost_rate:
         Bin cost rate ``C`` (default 1).
-    strict:
-        When true (default), validate every algorithm decision: the chosen
-        bin must be open and must fit the item.
     indexed:
         When true (default), offer the algorithm the O(log n) indexed
         selection protocol first, falling back to the classic list scan if
@@ -131,7 +128,6 @@ class Simulator:
         *,
         capacity: Size = 1,
         cost_rate: Num = 1,
-        strict: bool = True,
         indexed: bool = True,
         record: bool = True,
         observers: Sequence["SimulationObserver"] = (),
@@ -143,7 +139,6 @@ class Simulator:
         self.algorithm = algorithm
         self.capacity = capacity
         self.cost_rate = cost_rate
-        self.strict = strict
         self.observers = list(observers)
         self._record = record
         self._use_indexed = indexed and _indexed_is_authoritative(type(algorithm))
@@ -223,8 +218,13 @@ class Simulator:
         size: Size,
         item_id: str | None = None,
         tag: Any = None,
-    ) -> Bin:
-        """Submit an arrival; returns the bin the algorithm placed it in."""
+    ) -> Bin | None:
+        """Submit an arrival; returns the bin the algorithm placed it in.
+
+        A chosen bin must be an open bin of this simulation that fits the
+        item.  ``None`` means the item was refused: :meth:`_open_bin`
+        declined the new bin the algorithm asked for (only a subclass does).
+        """
         self._advance(time)
         if not is_valid_size(size):
             raise InvalidItemSizeError(size, item_id=item_id)
@@ -252,52 +252,24 @@ class Simulator:
         if choice is NotImplemented:
             choice = self.algorithm.choose_bin(view, self._open_view)
         if choice is OPEN_NEW or choice is None:
-            new_capacity = self.algorithm.new_bin_capacity(view)
-            if new_capacity is None:
-                new_capacity = self.capacity
-            if isinstance(new_capacity, Resources):
-                if new_capacity.dims != dims:
-                    raise ResourceDimensionError(new_capacity.dims, dims, item_id=item_id)
-            elif isinstance(size, Resources):
-                # Scalar-capacity broadcast: capacity W means W per dimension.
-                new_capacity = Resources.uniform(new_capacity, size.dims)
-            if not size_fits(size, new_capacity):
-                raise SimulationError(
-                    f"item {item_id!r} of size {size} cannot fit the new bin of "
-                    f"capacity {new_capacity} the algorithm requested"
-                )
-            target = Bin(
-                index=self._bins_opened,
-                capacity=new_capacity,
-                record_log=self._record,
-            )
+            target = self._open_bin(view, time, self.algorithm.new_bin_capacity(view))
+            if target is None:
+                return None
             opened = True
         else:
             target = choice
             opened = False
-            if self.strict:
-                if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
-                    raise SimulationError(
-                        f"algorithm {self.algorithm.name!r} returned an invalid bin for "
-                        f"{item_id!r}: {choice!r}"
-                    )
-                if not target.fits(view):
-                    raise SimulationError(
-                        f"algorithm {self.algorithm.name!r} chose bin {target.index} "
-                        f"(residual {target.residual}) for item of size {size}"
-                    )
-        target.add(view, time)
-        if opened:
-            self._bins_opened += 1
-            if self._record:
-                self._all_bins.append(target)
-            # The hook runs before indexing so the label it assigns decides
-            # the bin's pool (MFF/MBF segregate large/small bins this way).
-            self.algorithm.on_bin_opened(target, view)
-            self._bins.add(target)
-            if len(self._bins) > self._peak_open:
-                self._peak_open = len(self._bins)
-        else:
+            if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
+                raise SimulationError(
+                    f"algorithm {self.algorithm.name!r} returned an invalid bin for "
+                    f"{item_id!r}: {choice!r}"
+                )
+            if not target.fits(view):
+                raise SimulationError(
+                    f"algorithm {self.algorithm.name!r} chose bin {target.index} "
+                    f"(residual {target.residual}) for item of size {size}"
+                )
+            target.add(view, time)
             self._bins.update(target)
         self._items_arrived += 1
         self._active[item_id] = _ActiveItem(view=view, bin=target)
@@ -305,6 +277,42 @@ class Simulator:
             self._assignment[item_id] = target.index
         for observer in self.observers:
             observer.on_arrival(time, view, target, opened)
+        return target
+
+    def _open_bin(self, view: Arrival, time: Num, capacity: Size | None) -> Bin | None:
+        """Open a bin of ``capacity`` (``None``: the run's) holding ``view``.
+
+        The one bin-opening step of :meth:`arrive` and :meth:`migrate`.  A
+        subclass may return ``None`` to decline the bin (a capped fleet at
+        its cap, see :mod:`repro.cloud.finite_fleet`).
+        """
+        size = view.size
+        if capacity is None:
+            capacity = self.capacity
+        if isinstance(capacity, Resources):
+            if capacity.dims != dims_of(size):
+                raise ResourceDimensionError(
+                    capacity.dims, dims_of(size), item_id=view.item_id
+                )
+        elif isinstance(size, Resources):
+            # Scalar-capacity broadcast: capacity W means W per dimension.
+            capacity = Resources.uniform(capacity, size.dims)
+        if not size_fits(size, capacity):
+            raise SimulationError(
+                f"item {view.item_id!r} of size {size} cannot fit the new bin "
+                f"of capacity {capacity}"
+            )
+        target = Bin(index=self._bins_opened, capacity=capacity, record_log=self._record)
+        target.add(view, time)
+        self._bins_opened += 1
+        if self._record:
+            self._all_bins.append(target)
+        # The hook runs before indexing so the label it assigns decides the
+        # bin's pool (MFF/MBF segregate large/small bins this way).
+        self.algorithm.on_bin_opened(target, view)
+        self._bins.add(target)
+        if len(self._bins) > self._peak_open:
+            self._peak_open = len(self._bins)
         return target
 
     def depart(self, item_id: str, time: Num) -> Bin:
@@ -380,36 +388,22 @@ class Simulator:
                 f"cannot migrate unknown/inactive item {item_id!r}"
             ) from None
         view, source = record.view, record.bin
-        if to_bin is OPEN_NEW or to_bin is None:
-            new_capacity = self.capacity
-            if isinstance(view.size, Resources) and not isinstance(
-                new_capacity, Resources
-            ):
-                new_capacity = Resources.uniform(new_capacity, view.size.dims)
-            target = Bin(
-                index=self._bins_opened,
-                capacity=new_capacity,
-                record_log=self._record,
-            )
-            opened = True
-        else:
-            target = to_bin
-            opened = False
-            if target is source:
+        opened = to_bin is OPEN_NEW or to_bin is None
+        if not opened:
+            if to_bin is source:
                 raise SimulationError(
                     f"item {item_id!r} is already in bin {source.index}"
                 )
-            if self.strict:
-                if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
-                    raise SimulationError(
-                        f"cannot migrate {item_id!r} into {to_bin!r}: not an "
-                        "open bin of this simulation"
-                    )
-                if not target.fits(view):
-                    raise SimulationError(
-                        f"bin {target.index} (residual {target.residual}) cannot "
-                        f"take migrated item {item_id!r} of size {view.size}"
-                    )
+            if not isinstance(to_bin, Bin) or not to_bin.is_open or to_bin not in self._bins:
+                raise SimulationError(
+                    f"cannot migrate {item_id!r} into {to_bin!r}: not an "
+                    "open bin of this simulation"
+                )
+            if not to_bin.fits(view):
+                raise SimulationError(
+                    f"bin {to_bin.index} (residual {to_bin.residual}) cannot "
+                    f"take migrated item {item_id!r} of size {view.size}"
+                )
         source.remove(item_id, when)
         from_closed = source.is_closed
         if from_closed:
@@ -417,16 +411,15 @@ class Simulator:
             self._closed_bin_time = self._closed_bin_time + source.usage_length
         else:
             self._bins.update(source)
-        target.add(view, when)
         if opened:
-            self._bins_opened += 1
-            if self._record:
-                self._all_bins.append(target)
-            self.algorithm.on_bin_opened(target, view)
-            self._bins.add(target)
-            if len(self._bins) > self._peak_open:
-                self._peak_open = len(self._bins)
+            # Opened after the source is released, so a move out of a
+            # one-item bin does not raise the peak.
+            new_bin = self._open_bin(view, when, None)
+            assert new_bin is not None, "only an arrival may be declined a bin"
+            target = new_bin
         else:
+            target = to_bin
+            target.add(view, when)
             self._bins.update(target)
         record.bin = target
         if self._record:
@@ -568,7 +561,6 @@ def simulate(
     *,
     capacity: Size = 1,
     cost_rate: Num = 1,
-    strict: bool = True,
     check: bool = False,
     indexed: bool = True,
     observers: Sequence["SimulationObserver"] = (),
@@ -658,7 +650,6 @@ def simulate(
         algorithm,
         capacity=capacity if scale is None else to_lattice(cast(int, capacity), scale),
         cost_rate=cost_rate,
-        strict=strict,
         indexed=indexed,
         observers=observers,
     )

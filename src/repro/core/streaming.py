@@ -122,7 +122,6 @@ def simulate_stream(
     *,
     capacity: Size = 1,
     cost_rate: Num = 1,
-    strict: bool = True,
     indexed: bool = True,
     observers: Sequence["SimulationObserver"] = (),
     checkpoint_every: int | None = None,
@@ -185,7 +184,6 @@ def simulate_stream(
             algorithm,
             capacity=capacity,
             cost_rate=cost_rate,
-            strict=strict,
             indexed=indexed,
             record=False,
             observers=observers,
@@ -195,9 +193,7 @@ def simulate_stream(
         if repacker is not None:
             repacker.reset()
     else:
-        sim, pending = resume_from.restore(
-            algorithm, strict=strict, indexed=indexed, observers=observers
-        )
+        sim, pending = resume_from.restore(algorithm, indexed=indexed, observers=observers)
         consumed = resume_from.items_consumed
         events = resume_from.events_processed
         last_arrival = resume_from.last_arrival

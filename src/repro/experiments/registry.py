@@ -69,29 +69,25 @@ class _Entry:
     fn: Callable[..., ExperimentResult]
     display: str  # which paper display it reproduces
     description: str
-    deterministic: bool  # rows are a pure function of parameters (no wall clock)
 
 
 _REGISTRY: dict[str, _Entry] = {}
 
 
 def register_experiment(
-    name: str, *, display: str, description: str, deterministic: bool = True
+    name: str, *, display: str, description: str
 ) -> Callable[[Callable[..., ExperimentResult]], Callable[..., ExperimentResult]]:
     """Decorator registering an experiment ``run`` function.
 
-    ``deterministic=False`` marks experiments whose *rows* include wall-clock
-    measurements (throughput columns); their claim checks must still be
-    deterministic.  The parallel differential suite byte-compares full
-    results only for deterministic experiments.
+    An experiment's result must be a pure function of its parameters (no
+    wall clock): the parallel differential suite byte-compares every
+    result with its serial run.
     """
 
     def deco(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
         if name in _REGISTRY:
             raise ValueError(f"experiment {name!r} already registered")
-        _REGISTRY[name] = _Entry(
-            fn=fn, display=display, description=description, deterministic=deterministic
-        )
+        _REGISTRY[name] = _Entry(fn=fn, display=display, description=description)
         return fn
 
     return deco
@@ -119,7 +115,6 @@ def experiment_info(name: str) -> dict[str, Any]:
         "name": name,
         "display": entry.display,
         "description": entry.description,
-        "deterministic": entry.deterministic,
     }
 
 

@@ -177,7 +177,6 @@ def observe_stream(
     *,
     capacity: Num = 1,
     cost_rate: Num = 1,
-    strict: bool = True,
     indexed: bool = True,
     trace: str | Path | IO[str] | None = None,
     metrics: bool = True,
@@ -228,7 +227,6 @@ def observe_stream(
             session.instrumented,
             capacity=capacity,
             cost_rate=cost_rate,
-            strict=strict,
             indexed=indexed,
             observers=observers,
             checkpoint_every=checkpoint_every,

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached facts pickle (schema change).
-FACTS_SCHEMA_VERSION = 3
+FACTS_SCHEMA_VERSION = 4
 
 
 # --------------------------------------------------------------------------
@@ -387,6 +387,7 @@ def _qual_from_annotation(ann: ast.expr | None) -> str:
 
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _walk_shallow(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
@@ -403,6 +404,19 @@ def _walk_shallow(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
             if isinstance(child, _SCOPE_NODES):
                 continue
             stack.append(child)
+
+
+def _body_defs(stmts: list[ast.stmt]) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """The function defs of a body, in source order.
+
+    Direct statements and defs inside the body's ``if``/``for``/``while``/
+    ``with``/``try`` blocks alike; a def inside a nested def or class
+    belongs to that scope instead.
+    """
+    defs = [stmt for stmt in stmts if isinstance(stmt, _DEF_NODES)]
+    for node in _walk_shallow(stmts):
+        defs.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, _DEF_NODES))
+    return sorted(defs, key=lambda d: (d.lineno, d.col_offset))
 
 
 class _Imports:
@@ -1288,9 +1302,8 @@ class _DispatchCollector(ast.NodeVisitor):
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 if _is_mutable_value(stmt.value) and isinstance(stmt.target, ast.Name):
                     mutables.add(stmt.target.id)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested[stmt.name] = stmt.name
+        for stmt in _body_defs(node.body):
+            nested[stmt.name] = stmt.name
         self._mutable_scopes.append(mutables)
         self._nested_defs.append(nested)
         self.generic_visit(node)
@@ -1716,9 +1729,8 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
 
     #: module-level defs and classes, for local name resolution
     local_defs: dict[str, str] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            local_defs[stmt.name] = f"{src.module}:{stmt.name}"
+    for stmt in _body_defs(tree.body):
+        local_defs[stmt.name] = f"{src.module}:{stmt.name}"
 
     def _function_facts(
         node: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -1750,10 +1762,10 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                     param_hints.setdefault(inner.target.id, names)
 
         # Nested defs are resolvable from this scope by bare name.
+        nested = _body_defs(node.body)
         inner_defs = dict(scope_defs)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner_defs[stmt.name] = f"{qualname}.{stmt.name}"
+        for stmt in nested:
+            inner_defs[stmt.name] = f"{qualname}.{stmt.name}"
 
         effects = _collect_effects(
             node.body,
@@ -1813,55 +1825,50 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                 for target in inner.targets:
                     if isinstance(target, ast.Name):
                         own_mutables.add(target.id)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                _function_facts(
-                    stmt,
-                    f"{qualname}.{stmt.name}",
-                    klass,
-                    own_mutables,
-                    inner_defs,
-                    (enclosing_params or frozenset()) | param_set,
-                )
-
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for stmt in nested:
             _function_facts(
-                stmt, f"{src.module}:{stmt.name}", None, set(), local_defs, None
+                stmt,
+                f"{qualname}.{stmt.name}",
+                klass,
+                own_mutables,
+                inner_defs,
+                (enclosing_params or frozenset()) | param_set,
             )
-        elif isinstance(stmt, ast.ClassDef):
+
+    for stmt in _body_defs(tree.body):
+        _function_facts(stmt, f"{src.module}:{stmt.name}", None, set(), local_defs, None)
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
             methods: list[str] = []
             attr_hints: list[tuple[str, tuple[str, ...]]] = []
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.append(item.name)
-                    _function_facts(
-                        item,
-                        f"{src.module}:{stmt.name}.{item.name}",
-                        stmt.name,
-                        set(),
-                        local_defs,
-                        None,
-                    )
-                elif isinstance(item, ast.AnnAssign) and isinstance(
-                    item.target, ast.Name
-                ):
-                    names = _annotation_names(item.annotation)
+            method_defs = _body_defs(stmt.body)
+            for item in method_defs:
+                methods.append(item.name)
+                _function_facts(
+                    item,
+                    f"{src.module}:{stmt.name}.{item.name}",
+                    stmt.name,
+                    set(),
+                    local_defs,
+                    None,
+                )
+            for attr in stmt.body:
+                if isinstance(attr, ast.AnnAssign) and isinstance(attr.target, ast.Name):
+                    names = _annotation_names(attr.annotation)
                     if names:
-                        attr_hints.append((item.target.id, names))
+                        attr_hints.append((attr.target.id, names))
             # ``self.x: T = ...`` inside __init__ also hints attribute types.
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for inner in _walk_shallow(item.body):
-                        if (
-                            isinstance(inner, ast.AnnAssign)
-                            and isinstance(inner.target, ast.Attribute)
-                            and isinstance(inner.target.value, ast.Name)
-                            and inner.target.value.id == "self"
-                        ):
-                            names = _annotation_names(inner.annotation)
-                            if names:
-                                attr_hints.append((inner.target.attr, names))
+            for item in method_defs:
+                for inner in _walk_shallow(item.body):
+                    if (
+                        isinstance(inner, ast.AnnAssign)
+                        and isinstance(inner.target, ast.Attribute)
+                        and isinstance(inner.target.value, ast.Name)
+                        and inner.target.value.id == "self"
+                    ):
+                        names = _annotation_names(inner.annotation)
+                        if names:
+                            attr_hints.append((inner.target.attr, names))
             bases = tuple(
                 dotted for base in stmt.bases if (dotted := _dotted(base)) is not None
             )

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import BestFit, FirstFit, make_items, simulate
+from repro import BestFit, FirstFit, Item, make_items, simulate
 from repro.analysis.classic_dbp import (
     max_bins_exact,
     max_bins_lower_bound,
     max_bins_ratio,
 )
-from tests.conftest import exact_items
+from repro.core.events import EventKind, compile_events
+from repro.opt.snapshot import l2_lower_bound
+from tests.conftest import exact_items, float_items
 
 
 class TestLowerBound:
@@ -86,3 +89,47 @@ def test_l2_maxbins_sandwich(items):
     load_lb = max_bins_lower_bound(items)
     l2_lb = max_bins_lower_bound(items, method="l2")
     assert load_lb <= l2_lb <= max_bins_exact(items)
+
+
+def _reference_l2_peak(items, capacity=1):
+    """The L2 bound's own event-grouping loop, in the caller's units."""
+    active = {}
+    best = 0
+    events = compile_events(items)
+    i = 0
+    while i < len(events):
+        t = events[i].time
+        while i < len(events) and events[i].time == t:
+            ev = events[i]
+            if ev.kind is EventKind.ARRIVAL:
+                active[ev.item.item_id] = ev.item.size
+            else:
+                del active[ev.item.item_id]
+            i += 1
+        best = max(best, l2_lower_bound(list(active.values()), capacity))
+    return best
+
+
+@st.composite
+def _tie_heavy_items(draw):
+    """Fraction items on a coarse grid: many events share an instant."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    items = []
+    for i in range(n):
+        a = draw(st.integers(min_value=0, max_value=4))
+        length = draw(st.integers(min_value=1, max_value=3))
+        size = Fraction(draw(st.integers(min_value=1, max_value=6)), 6)
+        items.append(Item(arrival=a, departure=a + length, size=size, item_id=f"t{i}"))
+    return items
+
+
+@given(st.one_of(float_items(), exact_items(max_items=20), _tie_heavy_items()))
+@settings(max_examples=150, deadline=None)
+def test_l2_peak_is_the_snapshot_sweep(items):
+    """The L2 peak is the snapshot sweep's maximum (exact traces on the
+    integer lattice), and equals the bound's own loop in caller units."""
+    assert max_bins_lower_bound(items, method="l2") == _reference_l2_peak(items)
+    if all(isinstance(it.size, Fraction) for it in items):
+        assert max_bins_lower_bound(
+            items, capacity=Fraction(3, 2), method="l2"
+        ) == _reference_l2_peak(items, Fraction(3, 2))

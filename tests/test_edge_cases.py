@@ -13,7 +13,7 @@ from repro import (
     make_items,
     simulate,
 )
-from repro.algorithms.base import Arrival, OPEN_NEW, PackingAlgorithm
+from repro.algorithms.base import PackingAlgorithm
 
 
 class TestExtremeValues:
@@ -79,21 +79,6 @@ class TestMisbehavingAlgorithms:
         items = make_items([(0, 1, 0.5), (2, 3, 0.5)])
         with pytest.raises(SimulationError, match="invalid bin"):
             simulate(items, Hoarder())
-
-    def test_non_strict_mode_still_guards_capacity(self):
-        class Rogue(FirstFit):
-            def choose_bin(self, item, open_bins):
-                if open_bins:
-                    return open_bins[0]
-                return OPEN_NEW
-
-        items = make_items([(0, 5, 0.8), (1, 5, 0.8)])
-        # strict=False skips protocol validation, but Bin.add itself
-        # refuses to exceed capacity.
-        from repro.core.bin import CapacityExceededError
-
-        with pytest.raises(CapacityExceededError):
-            simulate(items, Rogue(), strict=False)
 
 
 class TestIncrementalEdges:

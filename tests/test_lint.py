@@ -220,6 +220,38 @@ class TestWholeProgram:
         assert codes_at(both, "DBP004") == [("repro/core/fx_touch.py", 5)]
         assert "'record'" in both.violations[0].message
 
+    @pytest.mark.parametrize(
+        "block, trailer",
+        [
+            ("if opened:", ""),
+            ("for _ in range(1):", ""),
+            ("while opened:", ""),
+            ("with self.lock:", ""),
+            ("try:", "        except KeyError:\n            pass\n"),
+        ],
+    )
+    def test_def_inside_a_block_is_a_call_graph_node(self, block, trailer):
+        # A def nested in a compound statement had no facts of its own, so
+        # a hook's call into it reached nothing and DBP013 stayed silent.
+        source = (
+            "import time\n"
+            "\n"
+            + OBSERVER_BASE
+            + "\n"
+            "class Stamper(SimulationObserver):\n"
+            "    def on_arrival(self, now, item, bin, opened):\n"
+            f"        {block}\n"
+            "            def stamp():\n"
+            "                return time.time()  # DBP002\n"
+            "            self.at = stamp()\n"
+            + trailer
+        )
+        report = analyze(source)
+        assert lines_fired(source, "DBP002") == marked_lines(source, "DBP002")
+        impure = [v for v in report.violations if v.code == "DBP013"]
+        assert [v.line for v in impure] == [11]
+        assert "reads-clock" in impure[0].message
+
     def test_random_seed_is_a_global_rng_seed(self):
         # The linter flagged random.seed; the effect seeds did not.
         source = (

@@ -16,15 +16,11 @@ import pytest
 
 from repro import FirstFit, simulate
 from repro.analysis.sweep import grid, run_sweep, seeded_points
-from repro.experiments import available_experiments, experiment_info, run_experiments
+from repro.experiments import available_experiments, run_experiments
 from repro.experiments.io import result_to_dict, results_to_json
 from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 
 WORKER_COUNTS = (2, 4)
-
-
-def _is_deterministic(name: str) -> bool:
-    return experiment_info(name)["deterministic"]
 
 
 # --------------------------------------------------------------- experiments
@@ -54,28 +50,19 @@ def test_every_experiment_matches_serial(serial_catalogue, parallel_catalogues, 
         assert got.table.headers == expected.table.headers, name
         assert got.checks == expected.checks, name
         assert got.notes == expected.notes, name
-        if _is_deterministic(name):
-            assert got.table.rows == expected.table.rows, name
-            # The exported artifact is byte-identical, not merely equal.
-            assert json.dumps(result_to_dict(got), sort_keys=True) == json.dumps(
-                result_to_dict(expected), sort_keys=True
-            ), name
-        else:
-            # Wall-clock columns (engine-scaling throughput) may move, but
-            # the table shape and every claim verdict must not.
-            assert len(got.table.rows) == len(expected.table.rows), name
+        assert got.table.rows == expected.table.rows, name
+        # The exported artifact is byte-identical, not merely equal.
+        assert json.dumps(result_to_dict(got), sort_keys=True) == json.dumps(
+            result_to_dict(expected), sort_keys=True
+        ), name
 
 
 def test_catalogue_artifact_bytes_match_serial(serial_catalogue, parallel_catalogues):
-    names, serial = serial_catalogue
+    _, serial = serial_catalogue
     for workers in WORKER_COUNTS:
-        serial_subset = [r for r in serial if _is_deterministic(r.name)]
-        parallel_subset = [
-            r for r in parallel_catalogues[workers] if _is_deterministic(r.name)
-        ]
         assert (
-            results_to_json(parallel_subset).encode()
-            == results_to_json(serial_subset).encode()
+            results_to_json(parallel_catalogues[workers]).encode()
+            == results_to_json(serial).encode()
         )
 
 
