@@ -80,8 +80,9 @@ class PackingAlgorithm(ABC):
         capacity and every size arrive multiplied by one integer.  Derive
         size thresholds from ``capacity`` (as ``W/k``, with
         :func:`~repro.core.numeric.quotient`), never from constants, so a
-        decision is the same at every scale.  After such a run, state
-        derived here is still in lattice units.
+        decision is the same at every scale.  After such a run ``simulate``
+        calls ``reset`` again with the caller's capacity, so state derived
+        here ends in the caller's units and per-run state is cleared.
         """
 
     @abstractmethod

@@ -4,16 +4,22 @@ The paper (and :mod:`repro.core.simulator`) assumes an unlimited bin
 supply — the public-cloud premise.  Real deployments cap concurrent VMs
 (quota, budget, a private cluster).  This module adds that regime: a
 dispatcher with at most ``fleet_limit`` concurrent servers that either
-**queues** arrivals FIFO until capacity frees, or **drops** them.
+**queues** a request it cannot place until capacity frees, or **drops**
+it.
 
 Semantics:
 
 * A queued session plays for its full duration once admitted (the player
   waits in a lobby; the session shifts, it does not shrink).
-* Departures at an instant are processed before arrivals, and every
-  departure triggers FIFO admission attempts (no head-of-line bypass: if
-  the queue head does not fit, nothing behind it is tried — fairness over
-  utilisation, the common lobby policy).
+* Departures at an instant are processed before arrivals.  Each departure
+  drains the queue from its head: the head is re-offered, and while it is
+  admitted the next one is; if the head does not fit, nothing behind it
+  is tried.  The queue is FIFO among waiting requests.
+* A new arrival is offered to the fleet before the queue.  An arrival
+  that fits an open server is admitted at once, even while earlier
+  requests wait for a server to free: with one server, First Fit and
+  sessions ``(0, 10, 0.6)``, ``(1, 2, 0.5)``, ``(2, 3, 0.3)``, the third
+  is admitted at 2 and the second waits until 10.
 * Placement uses any online packing algorithm; ``OPEN_NEW`` is honoured
   only below the fleet cap.
 
@@ -170,6 +176,12 @@ class FiniteFleetDispatcher:
         served: a repeated id raises
         :class:`~repro.core.validation.DuplicateItemIdError`, as
         :func:`~repro.core.simulator.simulate` does.
+
+        Each arrival is offered to the fleet when it arrives, ahead of the
+        requests already waiting; one it cannot place joins the back of the
+        queue (``QUEUE``) or is dropped (``DROP``).  Each departure then
+        re-offers the queue from its head and stops at the first request
+        that does not fit, so waiting requests are admitted in FIFO order.
 
         Raises
         ------

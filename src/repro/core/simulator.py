@@ -590,7 +590,8 @@ def simulate(
     ``int`` arithmetic.  The result is mapped back — the caller's items
     and capacity, equal to the unscaled run's result — and so is the
     repacker's state (see ``unscale`` in
-    :class:`~repro.core.streaming.StreamRepacker`).  A run stays in the
+    :class:`~repro.core.streaming.StreamRepacker`); the algorithm is
+    ``reset`` once more with the caller's capacity.  A run stays in the
     caller's units when something outside the engine would see a scaled
     size: observers, a flavour-aware algorithm (``new_bin_capacity`` or
     ``max_bin_capacity``), a repacker without ``unscale``, or a float
@@ -668,6 +669,9 @@ def simulate(
         )
         if repacker is not None:
             repacker.unscale(scale)  # type: ignore[attr-defined]
+        # Thresholds ``reset`` derived from the scaled capacity (MFF's and
+        # MBF's W/k, Harmonic's classes) go back to the caller's units.
+        algorithm.reset(capacity)
     if check:
         result.check_invariants()
     return result

@@ -1,6 +1,6 @@
 """OPT machinery: load profiles, bounds b.1-b.3, snapshot packing, brackets."""
 
-from .load import active_profile, load_profile, load_profile_np, max_load
+from .load import active_profile, load_profile, max_load
 from .lower_bounds import (
     OptBracket,
     demand_lower_bound,
@@ -32,7 +32,6 @@ from .snapshot import (
 
 __all__ = [
     "load_profile",
-    "load_profile_np",
     "active_profile",
     "max_load",
     "robust_ceil",

@@ -4,25 +4,16 @@ The instantaneous load ``load(t) = Σ_{r active at t} s(r)`` drives every
 OPT lower bound: at time ``t`` any packing needs at least
 ``⌈load(t)/W⌉`` bins.  The profile is piecewise constant between event
 times, so integrals over it are exact sums.
-
-Two implementations are provided: an exact generic one (works with
-``Fraction`` endpoints — used by the adversarial constructions) and a
-vectorised NumPy one for large float traces (used by the workload
-experiments; see the HPC guide's "vectorise the measured bottleneck").
-Both return the same ``(times, loads)`` convention: ``loads[i]`` holds on
-``[times[i], times[i+1])`` and the last load is always zero.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from ..core.item import Item
 
-__all__ = ["load_profile", "load_profile_np", "active_profile", "max_load"]
+__all__ = ["load_profile", "active_profile", "max_load"]
 
 
 def load_profile(items: Iterable[Item]) -> tuple[list[numbers.Real], list[numbers.Real]]:
@@ -47,31 +38,6 @@ def load_profile(items: Iterable[Item]) -> tuple[list[numbers.Real], list[number
         # The final segment is after the last departure; force exact zero to
         # clear any float residue from the +/- cancellation.
         loads[-1] = 0
-    return times, loads
-
-
-def load_profile_np(items: Sequence[Item]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised float load profile (same convention as :func:`load_profile`)."""
-    n = len(items)
-    if n == 0:
-        return np.empty(0), np.empty(0)
-    times = np.empty(2 * n)
-    deltas = np.empty(2 * n)
-    for i, it in enumerate(items):
-        times[i] = it.arrival
-        deltas[i] = it.size
-        times[n + i] = it.departure
-        deltas[n + i] = -it.size
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    loads = np.cumsum(deltas[order])
-    # Collapse duplicate breakpoints, keeping the final load at each time.
-    keep = np.empty(2 * n, dtype=bool)
-    keep[:-1] = times[:-1] != times[1:]
-    keep[-1] = True
-    times = times[keep]
-    loads = loads[keep]
-    loads[-1] = 0.0
     return times, loads
 
 

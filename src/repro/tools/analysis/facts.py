@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Any, Iterator
 
 from repro.tools.analysis.source import SourceFile, Suppression
 
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cached facts pickle (schema change).
-FACTS_SCHEMA_VERSION = 4
+FACTS_SCHEMA_VERSION = 5
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +202,7 @@ class FunctionFacts:
 class ClassFacts:
     """Shape of one class: bases, methods, annotated attributes."""
 
-    qualname: str  # "module:Class"
+    qualname: str  # "module:Class", "module:func.Class", "module:Outer.Inner"
     module: str
     name: str
     bases: tuple[str, ...]  # dotted base expressions as written
@@ -406,16 +406,17 @@ def _walk_shallow(stmts: list[ast.stmt]) -> Iterator[ast.AST]:
             stack.append(child)
 
 
-def _body_defs(stmts: list[ast.stmt]) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """The function defs of a body, in source order.
+def _body_defs(stmts: list[ast.stmt], kinds: Any = _DEF_NODES) -> list[Any]:
+    """The function defs (or, with ``kinds=ast.ClassDef``, the classes) of
+    a body, in source order.
 
     Direct statements and defs inside the body's ``if``/``for``/``while``/
     ``with``/``try`` blocks alike; a def inside a nested def or class
     belongs to that scope instead.
     """
-    defs = [stmt for stmt in stmts if isinstance(stmt, _DEF_NODES)]
+    defs = [stmt for stmt in stmts if isinstance(stmt, kinds)]
     for node in _walk_shallow(stmts):
-        defs.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, _DEF_NODES))
+        defs.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, kinds))
     return sorted(defs, key=lambda d: (d.lineno, d.col_offset))
 
 
@@ -1834,55 +1835,62 @@ def extract_module_facts(src: SourceFile) -> ModuleFacts:
                 inner_defs,
                 (enclosing_params or frozenset()) | param_set,
             )
+        # Classes defined in this body: ``{qualname}.Class``.
+        path = qualname.split(":", 1)[1]
+        for stmt in _body_defs(node.body, ast.ClassDef):
+            _class_facts(stmt, f"{path}.{stmt.name}", inner_defs)
+
+    def _class_facts(stmt: ast.ClassDef, path: str, scope_defs: dict[str, str]) -> None:
+        """Facts of a class at ``module:path`` and of its methods.
+
+        ``path`` is the class's dotted place in the module (``Class``,
+        ``make.Class``, ``Outer.Inner``), which is also the ``klass`` its
+        methods carry.
+        """
+        methods: list[str] = []
+        attr_hints: list[tuple[str, tuple[str, ...]]] = []
+        method_defs = _body_defs(stmt.body)
+        for item in method_defs:
+            methods.append(item.name)
+            _function_facts(item, f"{src.module}:{path}.{item.name}", path, set(), scope_defs, None)
+        for attr in stmt.body:
+            if isinstance(attr, ast.AnnAssign) and isinstance(attr.target, ast.Name):
+                names = _annotation_names(attr.annotation)
+                if names:
+                    attr_hints.append((attr.target.id, names))
+        # ``self.x: T = ...`` inside __init__ also hints attribute types.
+        for item in method_defs:
+            for inner in _walk_shallow(item.body):
+                if (
+                    isinstance(inner, ast.AnnAssign)
+                    and isinstance(inner.target, ast.Attribute)
+                    and isinstance(inner.target.value, ast.Name)
+                    and inner.target.value.id == "self"
+                ):
+                    names = _annotation_names(inner.annotation)
+                    if names:
+                        attr_hints.append((inner.target.attr, names))
+        bases = tuple(dotted for base in stmt.bases if (dotted := _dotted(base)) is not None)
+        classes.append(
+            ClassFacts(
+                qualname=f"{src.module}:{path}",
+                module=src.module,
+                name=stmt.name,
+                bases=bases,
+                methods=tuple(methods),
+                attr_hints=tuple(attr_hints),
+                loc=_loc(stmt),
+            )
+        )
+        for inner_class in _body_defs(stmt.body, ast.ClassDef):
+            _class_facts(inner_class, f"{path}.{inner_class.name}", scope_defs)
 
     for stmt in _body_defs(tree.body):
         _function_facts(stmt, f"{src.module}:{stmt.name}", None, set(), local_defs, None)
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            methods: list[str] = []
-            attr_hints: list[tuple[str, tuple[str, ...]]] = []
-            method_defs = _body_defs(stmt.body)
-            for item in method_defs:
-                methods.append(item.name)
-                _function_facts(
-                    item,
-                    f"{src.module}:{stmt.name}.{item.name}",
-                    stmt.name,
-                    set(),
-                    local_defs,
-                    None,
-                )
-            for attr in stmt.body:
-                if isinstance(attr, ast.AnnAssign) and isinstance(attr.target, ast.Name):
-                    names = _annotation_names(attr.annotation)
-                    if names:
-                        attr_hints.append((attr.target.id, names))
-            # ``self.x: T = ...`` inside __init__ also hints attribute types.
-            for item in method_defs:
-                for inner in _walk_shallow(item.body):
-                    if (
-                        isinstance(inner, ast.AnnAssign)
-                        and isinstance(inner.target, ast.Attribute)
-                        and isinstance(inner.target.value, ast.Name)
-                        and inner.target.value.id == "self"
-                    ):
-                        names = _annotation_names(inner.annotation)
-                        if names:
-                            attr_hints.append((inner.target.attr, names))
-            bases = tuple(
-                dotted for base in stmt.bases if (dotted := _dotted(base)) is not None
-            )
-            classes.append(
-                ClassFacts(
-                    qualname=f"{src.module}:{stmt.name}",
-                    module=src.module,
-                    name=stmt.name,
-                    bases=bases,
-                    methods=tuple(methods),
-                    attr_hints=tuple(attr_hints),
-                    loc=_loc(stmt),
-                )
-            )
+    # Classes at module level, in its ``if``/``try`` blocks too, and (from
+    # ``_function_facts``) classes defined in function bodies.
+    for stmt in _body_defs(tree.body, ast.ClassDef):
+        _class_facts(stmt, stmt.name, local_defs)
 
     # -- every call no extracted function body classified: module seeds
     module_effects = list(imports.sites)

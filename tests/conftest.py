@@ -29,6 +29,32 @@ def build_items(triples, *, prefix="h"):
     ]
 
 
+def mixed_float_trace():
+    """About 4,000 float items over 500 time units: sessions of 1-12, sizes 0.05-0.6."""
+    from repro.workloads import Clipped, Exponential, Uniform, generate_trace
+
+    return generate_trace(
+        arrival_rate=8.0,
+        horizon=500.0,
+        duration=Clipped(Exponential(4.0), 1.0, 12.0),
+        size=Uniform(0.05, 0.6),
+        seed=0,
+    )
+
+
+def scaling_trace(n_items: int):
+    """About ``n_items`` float items over 1000 time units: sessions of 1-15, sizes 0.05-0.5."""
+    from repro.workloads import Clipped, Exponential, Uniform, generate_trace
+
+    return generate_trace(
+        arrival_rate=n_items / 1000.0,
+        horizon=1000.0,
+        duration=Clipped(Exponential(5.0), 1.0, 15.0),
+        size=Uniform(0.05, 0.5),
+        seed=0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies
 
@@ -89,3 +115,11 @@ def gaming_trace():
     from repro.workloads import generate_gaming_trace
 
     return generate_gaming_trace(seed=11, horizon=6 * 60.0)
+
+
+@pytest.fixture(scope="session")
+def gaming_trace_day():
+    """A full 24 h day of the synthetic cloud-gaming workload (seed 0)."""
+    from repro.workloads import generate_gaming_trace
+
+    return generate_gaming_trace(seed=0, horizon=24 * 60.0)

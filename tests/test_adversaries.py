@@ -15,7 +15,7 @@ from repro.adversaries import (
 
 class TestTheorem1:
     @pytest.mark.parametrize("algo_cls", [FirstFit, BestFit, WorstFit, LastFit])
-    @pytest.mark.parametrize("k,mu", [(2, 2), (5, 4), (10, 16)])
+    @pytest.mark.parametrize("k,mu", [(2, 2), (5, 4), (10, 16), (20, 10)])
     def test_exact_match_for_anyfit(self, algo_cls, k, mu):
         out = run_theorem1_adversary(algo_cls(), k=k, mu=mu)
         assert out.matches_prediction
@@ -36,6 +36,16 @@ class TestTheorem1:
         assert ratios == sorted(ratios)
         assert all(r < mu for r in ratios)
         assert float(ratios[-1]) > 0.75 * mu
+
+    def test_best_fit_ratio_climbs_towards_mu(self):
+        ratios = [
+            run_theorem1_adversary(BestFit(), k=k, mu=16).measured_ratio
+            for k in (2, 4, 8, 16, 32)
+        ]
+        # Monotone towards μ = 16, never reaching it.
+        assert ratios == sorted(ratios)
+        assert all(r < 16 for r in ratios)
+        assert ratios[-1] > 10
 
     def test_fractional_mu(self):
         out = run_theorem1_adversary(FirstFit(), k=4, mu=Fraction(7, 2))
@@ -73,13 +83,13 @@ class TestTheorem2:
         assert (1 / (4 * eps)).denominator == 1  # 1/(kε) integral
 
     def test_ratio_floor_and_growth(self):
-        outs = [
-            run_theorem2_adversary(k=k, mu=3, n_iterations=2 * k // 3 + 2)
-            for k in (3, 6)
-        ]
-        for k, out in zip((3, 6), outs):
+        ks = (3, 5, 6, 8)
+        outs = [run_theorem2_adversary(k=k, mu=3, n_iterations=2 * k // 3 + 2) for k in ks]
+        for k, out in zip(ks, outs):
             assert float(out.measured_ratio_lower) >= k / 2
-        assert outs[1].measured_ratio_lower > outs[0].measured_ratio_lower
+            assert out.result.num_bins_used == k
+        ratios = [out.measured_ratio_lower for out in outs]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
     def test_bf_keeps_k_bins_open(self):
         out = run_theorem2_adversary(k=4, mu=3, n_iterations=3)
@@ -96,11 +106,12 @@ class TestTheorem2:
 
     def test_first_fit_escapes_the_trap(self):
         """The trap is BF-specific: FF on the same items stays cheap."""
-        out = run_theorem2_adversary(k=5, mu=3, n_iterations=4)
-        ff = simulate(out.result.items, FirstFit(), capacity=1)
-        bf_cost = float(out.algorithm_cost)
-        ff_cost = float(ff.total_cost())
-        assert ff_cost < bf_cost / 2
+        for k, n_iterations in ((5, 4), (6, 5)):
+            out = run_theorem2_adversary(k=k, mu=3, n_iterations=n_iterations)
+            ff = simulate(out.result.items, FirstFit(), capacity=1)
+            bf_cost = float(out.algorithm_cost)
+            ff_cost = float(ff.total_cost())
+            assert ff_cost < bf_cost / 2
 
     def test_exact_levels_asserted_internally(self):
         # The adversary raises if any bin deviates from the paper's

@@ -20,6 +20,21 @@ from repro import (
     simulate,
 )
 from repro.algorithms import LARGE, SMALL
+from repro.analysis.bounds import mff_bound_known_mu, mff_bound_unknown_mu
+from repro.core.metrics import trace_stats
+from repro.opt.lower_bounds import opt_total_lower_bound
+from repro.workloads import Choice, Clipped, Exponential, generate_trace
+
+
+def _bimodal_trace(seed):
+    """Many small sessions and a few large ones (the ``mff`` experiment's mix)."""
+    return generate_trace(
+        arrival_rate=6.0,
+        horizon=150.0,
+        duration=Clipped(Exponential(3.0), 1.0, 8.0),
+        size=Choice.of([0.04, 0.06, 0.10, 0.30, 0.45, 0.60], [4, 4, 4, 1, 1, 1]),
+        seed=seed,
+    )
 
 
 class TestRegistry:
@@ -172,6 +187,22 @@ class TestModifiedFirstFit:
         )
         result = simulate(items, ModifiedFirstFit())
         assert result.num_bins_used == 1
+
+    def test_bimodal_trace_within_the_unknown_mu_bound(self):
+        trace = _bimodal_trace(seed=0)
+        opt_lb = opt_total_lower_bound(trace.items)
+        mff = float(simulate(trace.items, ModifiedFirstFit()).total_cost() / opt_lb)
+        ff = float(simulate(trace.items, FirstFit()).total_cost() / opt_lb)
+        assert mff <= float(mff_bound_unknown_mu(float(trace_stats(trace.items).mu)))
+        # MFF's worst-case bound beats FF's; average costs stay comparable.
+        assert mff <= 2 * ff
+
+    def test_bimodal_trace_within_the_known_mu_bound(self):
+        trace = _bimodal_trace(seed=1)
+        mu = float(trace_stats(trace.items).mu)
+        result = simulate(trace.items, ModifiedFirstFit.with_known_mu(mu))
+        ratio = float(result.total_cost() / opt_total_lower_bound(trace.items))
+        assert ratio <= mff_bound_known_mu(mu)
 
 
 class TestHarmonicFit:

@@ -17,6 +17,9 @@ from repro.analysis.bounds import (
     theorem4_bound,
     theorem5_bound,
 )
+from repro import FirstFit, simulate
+from repro.opt.lower_bounds import opt_total_lower_bound
+from repro.workloads import Uniform, generate_trace
 
 
 class TestFormulas:
@@ -94,3 +97,19 @@ def test_theorem4_worse_than_theorem5_only_for_small_k(mu, k):
     assert theorem4_bound(mu, 2) == pytest.approx(theorem5_bound(mu))
     if k > 2:
         assert theorem4_bound(mu, k) <= theorem5_bound(mu) + 1e-9
+
+
+def test_first_fit_on_random_large_items_sits_far_below_theorem3():
+    k = 4
+    trace = generate_trace(
+        arrival_rate=4.0,
+        horizon=300.0,
+        duration=Uniform(1.0, 10.0),
+        size=Uniform(1.0 / k, 1.0),
+        seed=0,
+    )
+    cost = simulate(trace.items, FirstFit()).total_cost()
+    ratio = float(cost / opt_total_lower_bound(trace.items))
+    assert ratio <= k
+    # On random (non-adversarial) large items the ratio is far below k.
+    assert ratio < 2.0

@@ -116,3 +116,9 @@ def test_clairvoyant_never_opens_when_fit_exists(items):
                 if it.arrival <= t_open < it.departure
             )
             assert level + first.size > result.capacity
+
+
+def test_knowing_departures_does_not_hurt_on_a_gaming_day(gaming_trace_day):
+    blind = simulate(gaming_trace_day.items, FirstFit())
+    aware = simulate_clairvoyant(gaming_trace_day.items, MinExpandFit())
+    assert float(aware.total_cost()) <= float(blind.total_cost()) * 1.02

@@ -133,3 +133,11 @@ def test_l2_peak_is_the_snapshot_sweep(items):
         assert max_bins_lower_bound(
             items, capacity=Fraction(3, 2), method="l2"
         ) == _reference_l2_peak(items, Fraction(3, 2))
+
+
+def test_first_fit_max_bins_on_a_gaming_day(gaming_trace_day):
+    result = simulate(gaming_trace_day.items, FirstFit())
+    lb = max_bins_lower_bound(gaming_trace_day.items)
+    assert 1 <= lb <= result.max_bins_used
+    # Coffman et al.: FF's MaxBins ratio is at most 2.897.
+    assert result.max_bins_used / lb <= 2.897

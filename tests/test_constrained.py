@@ -103,6 +103,14 @@ class TestConstrainedAlgorithms:
             for it in trace.items:
                 assert result.bin_of(it.item_id).label in allowed_zones(it)
 
+    def test_a_twelve_hour_ring_day_stays_in_allowed_zones(self):
+        topo = RegionTopology.ring(4, 2)
+        trace = generate_constrained_trace(topology=topo, seed=0, horizon=12 * 60.0)
+        result = simulate(trace.items, ConstrainedFirstFit())
+        assert all(b.label in topo.zones for b in result.bins)
+        for it in trace.items:
+            assert result.bin_of(it.item_id).label in allowed_zones(it)
+
     def test_zone_policy_validation(self):
         with pytest.raises(ValueError, match="zone policy"):
             ConstrainedFirstFit("teleport")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import FirstFit, NewBinPerItem, SimulationError
+from repro import BestFit, FirstFit, NewBinPerItem, NextFit, SimulationError
 from repro.cloud import CloudGamingDispatcher, ServerType, dispatch_trace
+from repro.opt.lower_bounds import opt_total_lower_bound
 from repro.workloads import generate_gaming_trace
 
 
@@ -81,6 +82,20 @@ class TestDispatchTrace:
         naive = dispatch_trace(gaming_trace, NewBinPerItem())
         assert ff.continuous_cost < naive.continuous_cost
         assert ff.num_servers_rented < naive.num_servers_rented
+
+    def test_gaming_day_ranking(self, gaming_trace_day):
+        reports = {
+            algo.name: dispatch_trace(gaming_trace_day, algo)
+            for algo in (FirstFit(), BestFit(), NextFit(), NewBinPerItem())
+        }
+        ff = reports["first-fit"]
+        assert ff.continuous_cost < 0.8 * reports["new-bin-per-item"].continuous_cost
+        assert ff.billed_cost >= ff.continuous_cost
+        assert ff.continuous_cost >= opt_total_lower_bound(gaming_trace_day.items)
+        # Consolidating policies beat the non-consolidating baselines.
+        costs = {name: float(rep.continuous_cost) for name, rep in reports.items()}
+        assert costs["first-fit"] < costs["next-fit"] < costs["new-bin-per-item"]
+        assert costs["best-fit"] < costs["new-bin-per-item"]
 
     def test_custom_server_type_scales_costs(self, gaming_trace):
         cheap = dispatch_trace(gaming_trace, FirstFit(), server_type=ServerType(rate=1.0))

@@ -29,6 +29,7 @@ from repro.algorithms import (
     NextFit,
     WorstFit,
 )
+from repro.algorithms.base import Arrival
 from repro.core.events import EventKind, EventOrderError, _by_arrival, _merge_events, compile_events
 from repro.core.item import Item, make_items, validate_items
 from repro.core.numeric import lattice_scale, quotient, to_lattice
@@ -127,11 +128,14 @@ def assert_same_result(result: Any, expected: Any) -> None:
 
 
 class RecordingFirstFit(FirstFit):
-    """First Fit that remembers the capacity and sizes the engine showed it."""
+    """First Fit that remembers the capacities and sizes the engine showed it."""
+
+    def __init__(self) -> None:
+        self.capacities_seen: list[Any] = []
+        self.sizes_seen: list[Any] = []
 
     def reset(self, capacity: Any) -> None:
-        self.capacity_seen = capacity
-        self.sizes_seen: list[Any] = []
+        self.capacities_seen.append(capacity)
 
     def on_bin_opened(self, bin: Any, item: Any) -> None:
         self.sizes_seen.append(item.size)
@@ -212,15 +216,29 @@ class TestSimulate:
         items = make_items([(0, 3, Fraction(1, 3)), (1, 4, Fraction(1, 4)), (2, 5, 1)])
         algorithm = RecordingFirstFit()
         simulate(items, algorithm)
-        assert algorithm.capacity_seen == 12
+        # The run sees the lattice; the closing reset is in caller units.
+        assert algorithm.capacities_seen == [12, 1]
         assert algorithm.sizes_seen == [4, 12]
         assert all(type(size) is int for size in algorithm.sizes_seen)
+
+    @pytest.mark.parametrize(
+        "name, size, label",
+        [
+            ("mff-5", Fraction(1, 5), "large"),
+            ("mbf", Fraction(1, 6), "large"),
+            ("harmonic", Fraction(1, 3), 3),
+        ],
+    )
+    def test_reset_derived_state_ends_in_caller_units(self, name, size, label):
+        algorithm = ALGORITHMS[name]()
+        simulate(make_items([(0, 2, Fraction(1, 5)), (1, 3, Fraction(2, 3))]), algorithm)
+        assert algorithm.classify(Arrival("a", size, 0)) == label
 
     def test_integral_traces_need_no_lattice(self):
         algorithm = RecordingFirstFit()
         simulate(make_items([(0, 3, 1), (1, 4, 2)]), algorithm, capacity=Fraction(4))
-        assert algorithm.capacity_seen == Fraction(4)
-        assert type(algorithm.capacity_seen) is Fraction
+        assert algorithm.capacities_seen == [Fraction(4)]
+        assert type(algorithm.capacities_seen[0]) is Fraction
 
     def test_observers_see_caller_units(self):
         seen: list[Any] = []
@@ -232,7 +250,7 @@ class TestSimulate:
         items = make_items([(0, 3, Fraction(1, 3)), (1, 4, Fraction(1, 4))])
         algorithm = RecordingFirstFit()
         result = simulate(items, algorithm, observers=[Sizes()])
-        assert algorithm.capacity_seen == 1
+        assert algorithm.capacities_seen == [1]
         assert seen == [(Fraction(1, 3), 1), (Fraction(1, 4), 1)]
         assert_same_result(result, oracle(items, FirstFit()))
 

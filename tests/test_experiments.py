@@ -68,6 +68,29 @@ def test_thm1_small():
     _assert_experiment(get_experiment("thm1-anyfit")(ks=(2, 6), mus=(3,)))
 
 
+def test_thm1_one_algorithm_gives_one_row_per_k():
+    from repro.algorithms import WorstFit
+
+    result = get_experiment("thm1-anyfit")(ks=(2, 5, 10), mus=(4,), algorithms=[WorstFit()])
+    _assert_experiment(result)
+    assert len(result.table.rows) == 3
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("cloud-gaming", {"seeds": (0,), "horizon": 12 * 60.0}),
+        ("thm3-large-items", {"ks": (2, 4), "arrival_rates": (1.0,), "seeds": (0,)}),
+        ("thm4-small-items", {"ks": (4,), "arrival_rates": (4.0,), "horizon": 60.0, "seeds": (0,)}),
+        # Two seeds: the rank-disagreement claim needs enough algorithm
+        # pairs on enough traces to show.
+        ("classic-dbp", {"seeds": (0, 1), "horizon": 100.0}),
+    ],
+)
+def test_between_the_small_and_the_default_parameters(name, params):
+    _assert_experiment(get_experiment(name)(**params))
+
+
 def test_thm2_small():
     _assert_experiment(get_experiment("thm2-bestfit")(ks=(3, 5), mu=3))
 

@@ -23,7 +23,10 @@ from repro.analysis.ff_decomposition import (
     decompose_first_fit,
     verify_decomposition,
 )
-from repro.core.metrics import trace_span
+from repro.analysis.bounds import theorem4_bound, theorem5_bound
+from repro.core.metrics import trace_span, trace_stats
+from repro.opt.lower_bounds import opt_total_lower_bound
+from repro.workloads import Clipped, Exponential, Uniform, generate_burst_trace, generate_trace
 from tests.conftest import exact_items, float_items, small_exact_items
 
 
@@ -158,3 +161,41 @@ class TestFullVerification:
         report.violations.append("synthetic")
         with pytest.raises(DecompositionError):
             report.raise_on_violation()
+
+
+class TestRealisticPackings:
+    """First Fit on generated traces: the ratios the theorems bound and the
+    proof decomposition behind them."""
+
+    def test_small_items_theorem4(self):
+        k = 4
+        trace = generate_trace(
+            arrival_rate=6.0,
+            horizon=120.0,
+            duration=Clipped(Exponential(3.0), 1.0, 10.0),
+            size=Uniform(0.02, 0.999 / k),
+            seed=0,
+        )
+        result = simulate(trace.items, FirstFit())
+        ratio = float(result.total_cost() / opt_total_lower_bound(trace.items))
+        assert ratio <= theorem4_bound(float(trace_stats(trace.items).mu), k)
+        assert ratio < 2.0  # random instances sit far below the worst case
+        report = verify_decomposition(decompose_first_fit(result), small_k=k)
+        assert report.all_ok, report.violations
+        # Table 2's census: Case V pairs exist on realistic traces.
+        assert report.case_counts.get(CASE_V, 0) > 0
+
+    def test_bursts_theorem5(self):
+        trace = generate_burst_trace(
+            num_bursts=20,
+            burst_size=30,
+            burst_spacing=4.0,
+            duration=Clipped(Exponential(4.0), 1.0, 8.0),
+            size=Uniform(0.05, 0.9),
+            seed=0,
+        )
+        result = simulate(trace.items, FirstFit())
+        ratio = float(result.total_cost() / opt_total_lower_bound(trace.items))
+        assert ratio <= theorem5_bound(float(trace_stats(trace.items).mu))
+        report = verify_decomposition(decompose_first_fit(result))
+        assert report.all_ok, report.violations

@@ -54,17 +54,27 @@ class TestQueueing:
         assert float(rep.total_cost) == pytest.approx(7.0)
 
     def test_head_of_line_blocking(self):
-        # Queue head (size 1.0) cannot fit beside the long 0.6 resident;
-        # the small 0.2 behind it must NOT jump the queue.
+        # h1 (0.5) and h2 (1.0) cannot fit beside the long 0.6 resident and
+        # queue; h3 (0.2) fits and is admitted on arrival.  When h3 leaves
+        # at 1.5 the head h1 still does not fit, so h2 behind it is not
+        # tried: h1 is admitted at 10, and h2 only after h1 leaves at 11.
         items = make_items(
             [(0, 10, 0.6), (1, 2, 0.5), (1, 3, 1.0), (1, 1.5, 0.2)], prefix="h"
         )
         rep = serve_with_fleet_limit(items, FirstFit(), fleet_limit=1)
         assert rep.num_served == 4
-        # h-3 (0.2) waited for h-2 (1.0) to be admitted first, i.e. until
-        # after the 0.6 resident departs at 10 and then h-2 plays 3.
-        waits = {w for w in rep.waits}
-        assert max(float(w) for w in waits) > 9  # somebody waited past t=10
+        assert [float(w) for w in rep.waits] == [0.0, 0.0, 9.0, 10.0]
+
+    def test_an_arrival_that_fits_is_admitted_ahead_of_the_queue(self):
+        # The kernel offers each arrival to the fleet before the queue: the
+        # third request fits beside the 0.6 resident at t=2, while the
+        # second (queued at t=1) waits for the resident to leave at 10.
+        items = make_items([(0, 10, 0.6), (1, 2, 0.5), (2, 3, 0.3)])
+        kernel, reference = _both(
+            items, FirstFit, fleet_limit=1, server_type=ServerType(), policy="queue"
+        )
+        assert kernel == reference
+        assert kernel.waits == [0, 0, 9]
 
     def test_unlimited_fleet_matches_simulator_cost(self, gaming_trace):
         rep = serve_with_fleet_limit(
@@ -74,6 +84,11 @@ class TestQueueing:
         assert rep.mean_wait == 0
         assert float(rep.total_cost) == pytest.approx(float(unlimited.total_cost()))
         assert rep.peak_servers == unlimited.max_bins_used
+
+    def test_gaming_day_under_a_cap_of_30(self, gaming_trace_day):
+        rep = serve_with_fleet_limit(gaming_trace_day.items, FirstFit(), fleet_limit=30)
+        assert rep.peak_servers <= 30
+        assert rep.num_served == len(gaming_trace_day)
 
 
 class TestDropping:

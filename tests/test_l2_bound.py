@@ -16,6 +16,7 @@ from repro.opt import (
     pointwise_lower_bound,
     robust_ceil,
 )
+from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 
 
 class TestL2:
@@ -62,6 +63,16 @@ class TestL2Sweep:
 
     def test_empty_trace(self):
         assert opt_total_l2_lower_bound([]) == 0
+
+    def test_dominates_pointwise_on_a_random_trace(self):
+        trace = generate_trace(
+            arrival_rate=2.0,
+            horizon=120.0,
+            duration=Clipped(Exponential(3.0), 1.0, 9.0),
+            size=Uniform(0.1, 0.9),
+            seed=0,
+        )
+        assert opt_total_l2_lower_bound(trace.items) >= pointwise_lower_bound(trace.items)
 
 
 sizes_strategy = st.lists(

@@ -252,6 +252,36 @@ class TestWholeProgram:
         assert [v.line for v in impure] == [11]
         assert "reads-clock" in impure[0].message
 
+    @pytest.mark.parametrize(
+        "header, trailer",
+        [
+            ("def make():", "    return Stamper\n"),
+            ("if True:", ""),
+            ("try:", "except KeyError:\n    pass\n"),
+            ("class Outer:", ""),
+        ],
+    )
+    def test_class_inside_a_body_is_a_call_graph_node(self, header, trailer):
+        # Only classes that were direct statements of the module had method
+        # facts, so a hook of a class nested in a function, a block or
+        # another class was no purity root and DBP013 stayed silent.
+        source = (
+            "import time\n"
+            "\n"
+            + OBSERVER_BASE
+            + "\n"
+            f"{header}\n"
+            "    class Stamper(SimulationObserver):\n"
+            "        def on_arrival(self, now, item, bin, opened):\n"
+            "            self.at = time.time()  # DBP002\n"
+            + trailer
+        )
+        report = analyze(source)
+        assert lines_fired(source, "DBP002") == marked_lines(source, "DBP002")
+        impure = [v for v in report.violations if v.code == "DBP013"]
+        assert [v.line for v in impure] == sorted(marked_lines(source, "DBP002"))
+        assert "Stamper.on_arrival() is not transitively pure: reads-clock" in impure[0].message
+
     def test_random_seed_is_a_global_rng_seed(self):
         # The linter flagged random.seed; the effect seeds did not.
         source = (

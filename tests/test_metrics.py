@@ -17,7 +17,7 @@ from repro import (
     utilization,
 )
 from repro.core.metrics import max_interval_length, min_interval_length
-from tests.conftest import exact_items
+from tests.conftest import exact_items, mixed_float_trace
 
 
 class TestBasics:
@@ -79,3 +79,9 @@ def test_utilization_in_unit_interval(items):
     result = simulate(items, FirstFit())
     u = utilization(result)
     assert 0 < u <= 1 + 1e-12
+
+
+def test_span_of_a_generated_trace():
+    trace = mixed_float_trace()
+    span = trace_span(trace.items)
+    assert trace.stats.max_interval <= span <= trace.stats.packing_period

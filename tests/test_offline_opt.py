@@ -12,6 +12,7 @@ from repro.opt import (
     opt_total_exact,
     pointwise_lower_bound,
 )
+from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 from tests.conftest import exact_items
 
 
@@ -93,3 +94,15 @@ class TestOrderingBetweenBenchmarks:
         repack = opt_total_exact(items)
         nomig = no_migration_opt_total(items)
         assert repack <= nomig
+
+
+def test_no_migration_opt_on_ten_float_items():
+    trace = generate_trace(
+        arrival_rate=0.5,
+        horizon=20.0,
+        duration=Clipped(Exponential(4.0), 1.0, 10.0),
+        size=Uniform(0.25, 0.75),
+        seed=2,
+    )
+    items = tuple(sorted(trace.items, key=lambda it: it.arrival))[:10]
+    assert float(no_migration_opt_total(items)) >= float(opt_total_exact(items)) - 1e-9

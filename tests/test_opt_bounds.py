@@ -15,7 +15,9 @@ from repro.opt.lower_bounds import (
     robust_ceil,
     span_lower_bound,
 )
-from tests.conftest import exact_items, float_items
+from repro.opt.snapshot import opt_total_ffd_upper_bound
+from repro.workloads import Clipped, Exponential, Uniform, generate_trace
+from tests.conftest import exact_items, float_items, scaling_trace
 
 
 class TestRobustCeil:
@@ -99,3 +101,32 @@ def test_sandwich_float(items):
     cost = simulate(items, FirstFit()).total_cost()
     assert bracket.pointwise_lb <= cost + tol
     assert opt_total_lower_bound(items) == bracket.pointwise_lb
+
+
+class TestGeneratedTraces:
+    def test_bracket_is_tight_on_a_random_trace(self):
+        trace = generate_trace(
+            arrival_rate=3.0,
+            horizon=120.0,
+            duration=Clipped(Exponential(3.0), 1.0, 9.0),
+            size=Uniform(0.1, 0.9),
+            seed=0,
+        )
+        bracket = opt_bracket(trace.items)
+        assert bracket.lower <= bracket.upper
+        # On random traces the bracket is tight to within a few percent.
+        assert float(bracket.upper / bracket.lower) < 1.25
+
+    @pytest.mark.parametrize("n_items", [1000, 8000])
+    def test_pointwise_bound_is_positive(self, n_items):
+        assert pointwise_lower_bound(scaling_trace(n_items).items) > 0
+
+    @pytest.mark.parametrize("n_items", [1000, 4000])
+    def test_ffd_sweep_is_at_least_the_pointwise_bound(self, n_items):
+        items = scaling_trace(n_items).items
+        assert opt_total_ffd_upper_bound(items) >= pointwise_lower_bound(items)
+
+    def test_first_fit_is_near_the_ffd_repack_on_a_gaming_day(self, gaming_trace_day):
+        ff_cost = float(simulate(gaming_trace_day.items, FirstFit()).total_cost())
+        repack = float(opt_bracket(gaming_trace_day.items).ffd_ub)
+        assert 1.0 <= ff_cost / repack < 1.6

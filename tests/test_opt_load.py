@@ -2,12 +2,11 @@
 
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 
 from repro import Item, make_items
-from repro.opt.load import active_profile, load_profile, load_profile_np, max_load
-from tests.conftest import exact_items, float_items
+from repro.opt.load import active_profile, load_profile, max_load
+from tests.conftest import exact_items, mixed_float_trace
 
 
 class TestLoadProfile:
@@ -31,6 +30,12 @@ class TestLoadProfile:
     def test_empty(self):
         assert load_profile([]) == ([], [])
 
+    def test_float_trace_of_4000_items(self):
+        trace = mixed_float_trace()
+        times, loads = load_profile(trace.items)
+        assert loads[-1] == 0
+        assert len(times) <= 2 * len(trace)
+
     def test_max_load(self):
         items = make_items([(0, 4, 0.5), (1, 3, 0.5), (2, 5, 0.25)])
         assert max_load(items) == 1.25
@@ -42,15 +47,6 @@ class TestActiveProfile:
         times, counts = active_profile(items)
         assert times == [0, 1, 3, 4]
         assert counts == [1, 2, 1, 0]
-
-
-@given(float_items())
-@settings(max_examples=40, deadline=None)
-def test_numpy_profile_matches_generic(items):
-    t1, l1 = load_profile(items)
-    t2, l2 = load_profile_np(items)
-    assert np.allclose(np.asarray(t1, dtype=float), t2)
-    assert np.allclose(np.asarray(l1, dtype=float), l2, atol=1e-9)
 
 
 @given(exact_items())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import make_items
-from repro.opt.lower_bounds import robust_ceil
+from repro.opt.lower_bounds import opt_bracket, robust_ceil
 from repro.opt.snapshot import (
     SearchLimitReached,
     exact_bin_count,
@@ -16,6 +16,7 @@ from repro.opt.snapshot import (
     opt_total_ffd_upper_bound,
     snapshot_profile,
 )
+from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 
 
 class TestFFD:
@@ -49,6 +50,8 @@ class TestExact:
         sizes = [0.45, 0.45, 0.35, 0.35, 0.2, 0.2]
         assert ffd_bin_count(sizes) >= exact_bin_count(sizes)
         assert exact_bin_count(sizes) == 2
+        # Three copies force real branching.
+        assert exact_bin_count(sizes * 3) == 6
 
     def test_exact_fraction_instance(self):
         sizes = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)] * 2
@@ -117,3 +120,16 @@ def test_exact_between_lower_bound_and_ffd(sizes):
 def test_exact_is_subadditive_and_monotone(a, b):
     assert exact_bin_count(a + b) <= exact_bin_count(a) + exact_bin_count(b)
     assert exact_bin_count(a + b) >= exact_bin_count(a)
+
+
+def test_exact_integral_within_the_bracket_on_a_random_trace():
+    trace = generate_trace(
+        arrival_rate=1.5,
+        horizon=80.0,
+        duration=Clipped(Exponential(3.0), 1.0, 9.0),
+        size=Uniform(0.1, 0.9),
+        seed=0,
+    )
+    exact = opt_total_exact(trace.items)
+    bracket = opt_bracket(trace.items)
+    assert bracket.pointwise_lb <= exact <= bracket.ffd_ub

@@ -4,8 +4,9 @@ The determinism contract of :mod:`repro.parallel`, checked end-to-end:
 for **every registered experiment**, running the catalogue sharded across
 2 and 4 workers yields tables, claim checks, and exported JSON artifacts
 exactly equal to the serial run; the same holds for ``run_sweep`` over a
-seeded grid.  CI re-runs this module as the ``parallel-smoke`` job and
-byte-diffs a seeded artifact on disk.
+seeded grid.  The serial run is also where every claim is checked at the
+experiments' default parameters.  CI re-runs this module as the
+``parallel-smoke`` job and byte-diffs a seeded artifact on disk.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ def parallel_catalogues(serial_catalogue):
     """The full catalogue run once per tested worker count."""
     names, _ = serial_catalogue
     return {workers: run_experiments(names, parallel=workers) for workers in WORKER_COUNTS}
+
+
+def test_every_claim_holds_at_the_default_parameters(serial_catalogue):
+    """The catalogue at its defaults is what ``docs/REPORT.md`` prints."""
+    names, serial = serial_catalogue
+    failing = [
+        f"{name}: {check}"
+        for name, result in zip(names, serial)
+        for check in result.checks
+        if not check.holds
+    ]
+    assert failing == []
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

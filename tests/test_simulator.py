@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import (
+    BestFit,
     FirstFit,
     Item,
     NewBinPerItem,
@@ -14,7 +15,7 @@ from repro import (
     make_items,
     simulate,
 )
-from tests.conftest import exact_items, float_items
+from tests.conftest import exact_items, float_items, mixed_float_trace, scaling_trace
 
 
 class TestReplayBasics:
@@ -196,3 +197,23 @@ def test_new_bin_per_item_cost_is_b3(items):
     result = simulate(items, NewBinPerItem())
     assert result.total_cost() == sum(it.length for it in items)
     assert result.num_bins_used == len(items)
+
+
+class TestGeneratedTraces:
+    def test_first_fit_consolidates(self):
+        trace = mixed_float_trace()
+        result = simulate(trace.items, FirstFit())
+        # A consolidating packing pays far less than one bin per item.
+        assert result.num_bins_used < len(trace) / 3
+        assert result.total_cost() < sum(it.length for it in trace.items)
+
+    @pytest.mark.parametrize("n_items", [1000, 4000, 16000])
+    def test_first_fit_index_matches_the_list_scan(self, n_items):
+        items = scaling_trace(n_items).items
+        indexed = simulate(items, FirstFit())
+        assert indexed.num_bins_used >= 1
+        assert simulate(items, FirstFit(), indexed=False) == indexed
+
+    @pytest.mark.parametrize("n_items", [1000, 8000])
+    def test_best_fit_packs(self, n_items):
+        assert simulate(scaling_trace(n_items).items, BestFit()).num_bins_used >= 1

@@ -203,3 +203,17 @@ def test_engine_scaling_experiment_claims_hold():
     result = get_experiment("engine-scaling")(sizes=(300,), seeds=(0, 1))
     assert result.all_claims_hold
     assert len(result.table.rows) == 4  # 2 algorithms x 1 size x 2 seeds
+
+
+@pytest.mark.parametrize("n_items", [4000, 16000])
+def test_generator_workload_streams(n_items):
+    source = stream_trace(
+        arrival_rate=n_items / 1000.0,
+        duration=Clipped(Exponential(5.0), 1.0, 15.0),
+        size=Uniform(0.05, 0.5),
+        n_items=n_items,
+        seed=0,
+    )
+    summary = simulate_stream(source, FirstFit())
+    assert summary.num_items == n_items
+    assert summary.num_bins_used >= 1

@@ -88,6 +88,11 @@ class TestRunTelemetry:
         assert reg["dbp_active_sessions"].value == 0
         assert reg["dbp_open_bins"].peak == result.max_bins_used
 
+    def test_peak_open_bins_on_a_gaming_day(self, gaming_trace_day):
+        obs = MetricsObserver()
+        result = simulate(gaming_trace_day.items, FirstFit(), observers=[obs])
+        assert obs.registry["dbp_open_bins"].peak == result.max_bins_used
+
     def test_final_cost_matches_result(self):
         items = make_items([(0, 5, 0.5), (1, 3, 0.5), (2, 8, 0.6)])
         result = simulate(items, FirstFit(), cost_rate=2)
