@@ -12,8 +12,6 @@ This example answers it three ways and shows they agree:
 Run:  python examples/capacity_planning.py
 """
 
-import numpy as np
-
 from repro import FirstFit, simulate
 from repro.analysis import render_table
 from repro.cloud import serve_with_fleet_limit

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.numeric import Num, quotient
+from ..core.numeric import quotient
 from ..core.bin import Bin
 from ..core.resources import Size, exceeds_threshold
 from .base import Arrival, OPEN_NEW, PackingAlgorithm, register_algorithm

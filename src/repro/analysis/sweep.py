@@ -102,7 +102,6 @@ def run_sweep(
     chunk_size: int | None = None,
     metrics: Any = None,
     on_progress: Callable[[int, int, int], None] | None = None,
-    on_task_registry: Callable[[int, dict], None] | None = None,
 ) -> SweepResult:
     """Call ``fn(**point)`` for each grid point; collect the returned rows.
 
@@ -113,17 +112,11 @@ def run_sweep(
     via :func:`seeded_points`.  ``workers`` > 1 shards the points across a
     process pool — ``fn`` must then be picklable (module-level) — and is
     guaranteed to produce a :class:`SweepResult` identical to the serial
-    run; ``timeout``/``retries``/``chunk_size``/``metrics``/``on_progress``/
-    ``on_task_registry`` are forwarded to :func:`repro.parallel.run_tasks`.
+    run; ``timeout``/``retries``/``chunk_size``/``metrics``/``on_progress``
+    are forwarded to :func:`repro.parallel.run_tasks`.
     Worker failures surface as :class:`repro.parallel.ShardExecutionError`
     with the offending grid point attached to each
     :class:`~repro.parallel.ShardFailure`.
-
-    The serial path honours the same telemetry contract as the sharded
-    one: each point runs inside its own
-    :func:`~repro.parallel.taskmetrics.task_registry_scope` and delivers
-    its exported state through ``on_task_registry(index, state)``, so the
-    merged registry is byte-identical at every worker count including 1.
 
     Raises :class:`repro.core.validation.EmptySweepError` (a
     :class:`ValueError`) on an empty grid, on both execution paths.
@@ -147,18 +140,11 @@ def run_sweep(
             chunk_size=chunk_size,
             metrics=metrics,
             on_progress=on_progress,
-            on_task_registry=on_task_registry,
         )
     else:
-        from ..parallel.taskmetrics import export_if_used, task_registry_scope
-
         rows = []
         for index, kwargs in enumerate(calls):
-            with task_registry_scope() as registry:
-                rows.append(fn(**kwargs))
-            state = export_if_used(registry)
-            if state is not None and on_task_registry is not None:
-                on_task_registry(index, state)
+            rows.append(fn(**kwargs))
             if on_progress is not None:
                 on_progress(index + 1, len(calls), index)
     result = SweepResult(headers=list(headers) if headers else list(rows[0]))

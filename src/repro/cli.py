@@ -19,10 +19,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algorithms import available_algorithms, get_algorithm
 from .experiments import available_experiments, experiment_info, get_experiment
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentResult
+    from .obs import MetricsRegistry
 
 __all__ = ["main", "build_parser"]
 
@@ -201,13 +205,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InputError(Exception):
+    """A name or path given on the command line that cannot be used.
+
+    :func:`main` prints it as one stderr line and exits 2, the usage-error
+    code, so a typo never reads as a failed paper claim (exit 1).
+    """
+
+
+def _require_known(kind: str, names: Sequence[str], known: Sequence[str]) -> None:
+    for name in names:
+        if name not in known:
+            raise _InputError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
+
+
 def _load_trace(path: Path):
     from .workloads import Trace
 
-    text = path.read_text()
-    if path.suffix == ".csv":
-        return Trace.from_csv(text, name=path.stem)
-    return Trace.from_json(text)
+    try:
+        text = path.read_text()
+        if path.suffix == ".csv":
+            return Trace.from_csv(text, name=path.stem)
+        return Trace.from_json(text)
+    except OSError as exc:
+        raise _InputError(f"cannot read trace {path}: {exc.strerror or exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _InputError(
+            f"invalid trace {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -272,8 +297,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     from .cloud import ServerType, dispatch_trace
 
     algorithms = [name.strip() for name in args.algorithm.split(",") if name.strip()]
-    for name in algorithms:
-        get_algorithm(name)  # fail fast on unknown names
+    _require_known("algorithm", algorithms, available_algorithms())
     observed = (
         args.trace_out is not None
         or args.metrics is not None
@@ -288,16 +312,16 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if len(algorithms) > 1:
-        if observed or migrating:
-            print(
-                "dispatch: --trace-out/--metrics/--profile/--serve-metrics/"
-                "--migration-factor need a single --algorithm",
-                file=sys.stderr,
-            )
-            return 2
-        return _dispatch_compare(args, algorithms)
+    if len(algorithms) > 1 and (observed or migrating):
+        print(
+            "dispatch: --trace-out/--metrics/--profile/--serve-metrics/"
+            "--migration-factor need a single --algorithm",
+            file=sys.stderr,
+        )
+        return 2
     trace = _load_trace(args.trace)
+    if len(algorithms) > 1:
+        return _dispatch_compare(args, algorithms)
     algo = get_algorithm(algorithms[0])
     server = ServerType(
         gpu_capacity=args.capacity, rate=args.rate, billing_quantum=args.quantum
@@ -458,6 +482,10 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
     from .obs import TraceReplayError, verify_trace
 
     try:
+        args.trace.open("rb").close()
+    except OSError as exc:
+        raise _InputError(f"cannot read trace {args.trace}: {exc.strerror or exc}") from None
+    try:
         summary = verify_trace(args.trace)
     except (TraceReplayError, OSError, ValueError) as exc:
         print(f"trace verification FAILED: {exc}", file=sys.stderr)
@@ -474,6 +502,7 @@ def _cmd_viz(args: argparse.Namespace) -> int:
     from .analysis.viz import render_load_sparkline, render_packing_timeline
     from .core.simulator import simulate
 
+    _require_known("algorithm", [args.algorithm], available_algorithms())
     trace = _load_trace(args.trace)
     result = simulate(trace.items, get_algorithm(args.algorithm), capacity=args.capacity)
     print(render_packing_timeline(result, width=args.width, max_bins=args.max_bins))
@@ -491,6 +520,87 @@ def _run_one(name: str, precision: int, collected: list) -> bool:
     print(result.render(precision=precision))
     print()
     return result.all_claims_hold
+
+
+def _count_experiment(registry: "MetricsRegistry", result: "ExperimentResult") -> None:
+    """Count one finished experiment into the ``run --serve-metrics`` registry.
+
+    Every counter is an integer read off the result, so the totals do not
+    depend on the order results arrive in, nor on the worker count.
+    """
+    registry.counter("dbp_experiments_completed_total", "Experiments completed").inc()
+    registry.counter(
+        "dbp_experiment_rows_total", "Table rows produced by experiments"
+    ).inc(len(result.table.rows))
+    registry.counter("dbp_claims_checked_total", "Paper claims evaluated").inc(
+        len(result.checks)
+    )
+    registry.counter("dbp_claims_failed_total", "Paper claims that FAILED").inc(
+        sum(1 for c in result.checks if not c.holds)
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    names = available_experiments() if args.experiment == "all" else [args.experiment]
+    _require_known("experiment", names, available_experiments())
+    ok = True
+    collected: list = []
+    if (args.workers > 1 and len(names) > 1) or args.serve_metrics is not None:
+        from .experiments import run_experiments
+        from .parallel import progress_printer
+
+        live_server = None
+        on_result = None
+        if args.serve_metrics is not None:
+            from .obs import LiveMetricsServer, MetricsRegistry
+
+            registry = MetricsRegistry()
+            live_server = LiveMetricsServer(port=args.serve_metrics).start()
+            print(f"live metrics on {live_server.url}/metrics", file=sys.stderr)
+
+            def on_result(index: int, result: "ExperimentResult") -> None:
+                _count_experiment(registry, result)
+                live_server.publish_registry(registry)
+
+        try:
+            collected = run_experiments(
+                names,
+                parallel=args.workers if args.workers > 1 else None,
+                on_progress=progress_printer(sys.stderr, label="experiments"),
+                on_result=on_result,
+            )
+        finally:
+            if live_server is not None:
+                live_server.stop()
+        for result in collected:
+            print(result.render(precision=args.precision))
+            print()
+            ok = result.all_claims_hold and ok
+    else:
+        for name in names:
+            ok = _run_one(name, args.precision, collected) and ok
+    if args.out is not None:
+        from .experiments.io import results_to_json
+
+        args.out.write_text(results_to_json(collected))
+        print(f"results written to {args.out}")
+    if args.strict and not ok:
+        print("some paper claims FAILED", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from .experiments.report import generate_report
+
+    _require_known("experiment", args.experiments, available_experiments())
+    markdown, ok = generate_report(args.experiments or None, precision=args.precision)
+    if args.out is not None:
+        args.out.write_text(markdown)
+        print(f"report written to {args.out}")
+    else:
+        print(markdown)
+    return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -555,87 +665,39 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_list(args: argparse.Namespace) -> int:
+    for name in available_experiments():
+        info = experiment_info(name)
+        print(f"{name:18s} {info['display']:32s} {info['description']}")
+    return 0
+
+
+def _cmd_algorithms(args: argparse.Namespace) -> int:
+    for name in available_algorithms():
+        print(name)
+    return 0
+
+
+_COMMANDS = {
+    "list": _cmd_list,
+    "algorithms": _cmd_algorithms,
+    "run": _cmd_run,
+    "generate": _cmd_generate,
+    "dispatch": _cmd_dispatch,
+    "verify-trace": _cmd_verify_trace,
+    "report": _cmd_report,
+    "viz": _cmd_viz,
+    "chaos": _cmd_chaos,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        for name in available_experiments():
-            info = experiment_info(name)
-            print(f"{name:18s} {info['display']:32s} {info['description']}")
-        return 0
-    if args.command == "algorithms":
-        for name in available_algorithms():
-            print(name)
-        return 0
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "dispatch":
-        return _cmd_dispatch(args)
-    if args.command == "verify-trace":
-        return _cmd_verify_trace(args)
-    if args.command == "viz":
-        return _cmd_viz(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "report":
-        from .experiments.report import generate_report
-
-        markdown, ok = generate_report(args.experiments or None, precision=args.precision)
-        if args.out is not None:
-            args.out.write_text(markdown)
-            print(f"report written to {args.out}")
-        else:
-            print(markdown)
-        return 0 if ok else 1
-    # run
-    names = available_experiments() if args.experiment == "all" else [args.experiment]
-    ok = True
-    collected: list = []
-    if (args.workers > 1 and len(names) > 1) or args.serve_metrics is not None:
-        from .experiments import run_experiments
-        from .parallel import progress_printer
-
-        live_server = None
-        on_task_registry = None
-        if args.serve_metrics is not None:
-            from .obs import LiveMetricsServer, RegistryAggregate
-
-            aggregate = RegistryAggregate()
-            live_server = LiveMetricsServer(port=args.serve_metrics).start()
-            print(f"live metrics on {live_server.url}/metrics", file=sys.stderr)
-
-            def on_task_registry(index: int, state: dict) -> None:
-                # fleet-wide merged registry, republished per finished task
-                aggregate.add(state)
-                live_server.publish(
-                    aggregate.to_prometheus(), aggregate.to_json() + "\n"
-                )
-
-        try:
-            collected = run_experiments(
-                names,
-                parallel=args.workers if args.workers > 1 else None,
-                on_progress=progress_printer(sys.stderr, label="experiments"),
-                on_task_registry=on_task_registry,
-            )
-        finally:
-            if live_server is not None:
-                live_server.stop()
-        for result in collected:
-            print(result.render(precision=args.precision))
-            print()
-            ok = result.all_claims_hold and ok
-    else:
-        for name in names:
-            ok = _run_one(name, args.precision, collected) and ok
-    if args.out is not None:
-        from .experiments.io import results_to_json
-
-        args.out.write_text(results_to_json(collected))
-        print(f"results written to {args.out}")
-    if args.strict and not ok:
-        print("some paper claims FAILED", file=sys.stderr)
-        return 1
-    return 0
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

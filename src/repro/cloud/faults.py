@@ -49,7 +49,7 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # runtime import would cycle: resilience wraps this package
     from ..resilience.retry import CircuitBreaker, RetryPolicy

@@ -124,30 +124,8 @@ def _run_experiment_task(name: str) -> ExperimentResult:
     Module-level (hence picklable) and addressed by registry *name*, so a
     spawned worker re-imports the catalogue and resolves the same function
     the coordinator would — no code objects cross the process boundary.
-
-    Records deterministic per-experiment telemetry into the active
-    per-task registry (:func:`repro.parallel.task_registry`), so a batch
-    run's merged fleet registry carries real counters — rows produced,
-    claims checked/failed — byte-identical at any worker count.
     """
-    result = get_experiment(name)()
-    from ..parallel.taskmetrics import task_registry
-
-    registry = task_registry()
-    if registry is not None:
-        registry.counter(
-            "dbp_experiments_completed_total", "Experiments completed"
-        ).inc()
-        registry.counter(
-            "dbp_experiment_rows_total", "Table rows produced by experiments"
-        ).inc(len(result.table.rows))
-        registry.counter(
-            "dbp_claims_checked_total", "Paper claims evaluated"
-        ).inc(len(result.checks))
-        registry.counter(
-            "dbp_claims_failed_total", "Paper claims that FAILED"
-        ).inc(sum(1 for c in result.checks if not c.holds))
-    return result
+    return get_experiment(name)()
 
 
 def run_experiments(
@@ -159,7 +137,7 @@ def run_experiments(
     chunk_size: int | None = None,
     metrics: Any = None,
     on_progress: Callable[[int, int, int], None] | None = None,
-    on_task_registry: Callable[[int, dict], None] | None = None,
+    on_result: Callable[[int, ExperimentResult], None] | None = None,
 ) -> list[ExperimentResult]:
     """Run a batch of experiments, optionally sharded across processes.
 
@@ -175,11 +153,9 @@ def run_experiments(
     with the experiment name attached to each failure record.
 
     ``on_progress(completed, total, index)`` and
-    ``on_task_registry(index, state)`` follow the
-    :func:`repro.parallel.run_tasks` contract on both paths: serial
-    experiments run inside their own per-task registry scopes, so a
-    registry merge fed from the callback is byte-identical at any
-    ``parallel`` value.
+    ``on_result(index, result)`` follow the
+    :func:`repro.parallel.run_tasks` contract on both paths (serially,
+    results arrive in ``names`` order).
     """
     batch = list(names) if names is not None else available_experiments()
     if not batch:
@@ -198,17 +174,14 @@ def run_experiments(
             chunk_size=chunk_size,
             metrics=metrics,
             on_progress=on_progress,
-            on_task_registry=on_task_registry,
+            on_result=on_result,
         )
-    from ..parallel.taskmetrics import export_if_used, task_registry_scope
-
     results = []
     for index, name in enumerate(batch):
-        with task_registry_scope() as registry:
-            results.append(_run_experiment_task(name))
-        state = export_if_used(registry)
-        if state is not None and on_task_registry is not None:
-            on_task_registry(index, state)
+        result = _run_experiment_task(name)
+        results.append(result)
+        if on_result is not None:
+            on_result(index, result)
         if on_progress is not None:
             on_progress(index + 1, len(batch), index)
     return results

@@ -22,13 +22,10 @@ manifest, trace, profile report).
 
 The live observability plane builds on the same pillars without touching
 them: :mod:`repro.obs.live` serves published registry snapshots over
-HTTP beside a running simulation, :mod:`repro.obs.aggregate` merges
-per-shard registries into one byte-stable fleet registry, and
-:mod:`repro.obs.flight` keeps a bounded flight recorder so crashed runs
-leave a post-mortem.
+HTTP beside a running simulation, and :mod:`repro.obs.flight` keeps a
+bounded flight recorder so crashed runs leave a post-mortem.
 """
 
-from .aggregate import MergeError, RegistryAggregate, merge_registries, merge_states
 from .clock import Clock, ManualClock, MonotonicClock
 from .flight import (
     FLIGHT_SCHEMA_VERSION,
@@ -102,11 +99,6 @@ __all__ = [
     "LiveExportObserver",
     "LiveMetricsServer",
     "scrape",
-    # aggregation
-    "MergeError",
-    "RegistryAggregate",
-    "merge_registries",
-    "merge_states",
     # flight recorder
     "FLIGHT_SCHEMA_VERSION",
     "FlightObserver",

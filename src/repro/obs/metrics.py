@@ -340,24 +340,6 @@ class MetricsRegistry:
             for name, metric in sorted(self._metrics.items())
         }
 
-    def export_state(self) -> dict[str, Any]:
-        """Self-contained JSON-able export: kind, help text, and value.
-
-        Unlike :meth:`checkpoint_state` (which assumes the restoring side
-        already registered identical instruments), this payload carries the
-        help strings too, so a coordinator that never constructed the
-        instruments can still merge shard registries and render canonical
-        exports (see :mod:`repro.obs.aggregate`).
-        """
-        return {
-            name: {
-                "kind": metric.kind,
-                "help": metric.help,
-                "value": metric.snapshot_value(),
-            }
-            for name, metric in sorted(self._metrics.items())
-        }
-
     def restore_state(self, state: dict[str, Any]) -> None:
         """Restore instrument values captured by :meth:`checkpoint_state`.
 

@@ -18,12 +18,6 @@ The contract rests on three rules:
    surfaces as a typed :class:`~repro.parallel.failures.ShardFailure`
    inside one :class:`~repro.parallel.failures.ShardExecutionError` after
    the pool drains — never as a hung pool or a silently missing row.
-4. **Telemetry is per task, not per worker.**  Every task attempt runs in
-   its own metrics registry scope
-   (:mod:`~repro.parallel.taskmetrics`); exported states ride back with
-   results and merge commutatively
-   (:class:`~repro.obs.aggregate.RegistryAggregate`), so the fleet-wide
-   registry export is byte-identical at any worker count too.
 
 Entry points: ``run_sweep(..., workers=N)`` in :mod:`repro.analysis.sweep`,
 ``run_experiments(..., parallel=N)`` in :mod:`repro.experiments.registry`,
@@ -39,7 +33,6 @@ from .failures import (
 from .pool import PoolCounters, default_chunk_size, merge_indexed, run_tasks
 from .progress import parallel_manifest, progress_printer
 from .seeding import SEED_BITS, derive_seed, point_key
-from .taskmetrics import task_registry, task_registry_scope
 
 __all__ = [
     "FAILURE_KINDS",
@@ -55,6 +48,4 @@ __all__ = [
     "point_key",
     "progress_printer",
     "run_tasks",
-    "task_registry",
-    "task_registry_scope",
 ]

@@ -119,16 +119,7 @@ class PoolCounters:
 
 
 def _worker_main(conn: Connection, fn_bytes: bytes) -> None:
-    """Worker loop: receive task chunks, reply one message per task.
-
-    Each task attempt runs inside a fresh
-    :func:`~repro.parallel.taskmetrics.task_registry_scope`; the exported
-    registry state (or ``None`` when the task recorded nothing) travels
-    back with the result, so the coordinator can fold per-task telemetry
-    into one fleet registry independent of chunking or worker count.
-    """
-    from .taskmetrics import export_if_used, task_registry_scope
-
+    """Worker loop: receive task chunks, reply one message per task."""
     fn = pickle.loads(fn_bytes)
     try:
         while True:
@@ -137,14 +128,12 @@ def _worker_main(conn: Connection, fn_bytes: bytes) -> None:
                 return
             for index, payload in message[1]:
                 try:
-                    with task_registry_scope() as registry:
-                        result = fn(payload)
-                    state = export_if_used(registry)
+                    result = fn(payload)
                 except Exception as exc:  # a raising task is data, not death
                     conn.send((_ERR, index, f"{type(exc).__name__}: {exc}"))
                 else:
                     try:
-                        conn.send((_OK, index, result, state))
+                        conn.send((_OK, index, result))
                     except Exception as exc:  # unpicklable result
                         conn.send(
                             (
@@ -184,7 +173,7 @@ class _Coordinator:
         on_progress: Callable[[int, int, int], None] | None,
         counters: PoolCounters,
         retry_policy: "RetryPolicy | None" = None,
-        on_task_registry: Callable[[int, dict], None] | None = None,
+        on_result: Callable[[int, Any], None] | None = None,
     ) -> None:
         self._fn_bytes = fn_bytes
         self._tasks = tasks
@@ -195,7 +184,7 @@ class _Coordinator:
         self._on_progress = on_progress
         self._counters = counters
         self._retry_policy = retry_policy
-        self._on_task_registry = on_task_registry
+        self._on_result = on_result
         self._delayed: list[tuple[float, int]] = []  # (due monotonic, index)
         self._pending: deque[int] = deque(range(len(tasks)))
         self._attempts = [0] * len(tasks)
@@ -322,23 +311,21 @@ class _Coordinator:
             worker.assigned.remove(index)
         self._arm_deadline(worker)
         if tag == _OK:
-            self._record_result(index, message[2], message[3])
+            self._record_result(index, message[2])
         else:
             self._attempts[index] += 1
             self._retry_or_fail(index, "error", message[2])
 
-    def _record_result(
-        self, index: int, result: Any, registry_state: dict | None = None
-    ) -> None:
+    def _record_result(self, index: int, result: Any) -> None:
         # First success wins; assignment is exclusive so seconds cannot occur.
         if index in self._results or index in self._failures:
             return
         self._results[index] = result
         self._counters.completed += 1
-        # Registry before progress: a progress callback exporting the
-        # fleet-wide merge must already see this task's telemetry.
-        if registry_state is not None and self._on_task_registry is not None:
-            self._on_task_registry(index, registry_state)
+        # Result before progress: a progress callback publishing what the
+        # results add up to must already see this task's result.
+        if self._on_result is not None:
+            self._on_result(index, result)
         if self._on_progress is not None:
             self._on_progress(len(self._results), len(self._tasks), index)
 
@@ -410,7 +397,7 @@ def run_tasks(
     metrics: Any = None,
     on_progress: Callable[[int, int, int], None] | None = None,
     retry_policy: "RetryPolicy | None" = None,
-    on_task_registry: Callable[[int, dict], None] | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any]:
     """Run ``fn(task)`` for every task across ``workers`` processes.
 
@@ -430,13 +417,11 @@ def run_tasks(
     ``on_progress(completed, total, index)`` fires after every completed
     task (``index`` is the completing task's shard index).
 
-    ``on_task_registry(index, state)`` delivers the per-task metrics
-    registry state a task recorded via
-    :func:`~repro.parallel.taskmetrics.task_registry` (tasks that record
-    nothing deliver nothing).  Exactly one delivery per task — the first
-    successful attempt's — before that task's ``on_progress`` call, so a
-    :class:`~repro.obs.aggregate.RegistryAggregate` fed from this callback
-    is always consistent with the reported completion count.
+    ``on_result(index, result)`` delivers each task's result as it
+    arrives, in completion order.  Exactly one delivery per task — the
+    first successful attempt's — before that task's ``on_progress`` call,
+    so counters fed from this callback always agree with the reported
+    completion count.
 
     ``retry_policy`` (a :class:`repro.resilience.RetryPolicy`) spaces
     retries by seeded exponential backoff on the wall clock instead of
@@ -473,7 +458,7 @@ def run_tasks(
         on_progress=on_progress,
         counters=counters,
         retry_policy=retry_policy,
-        on_task_registry=on_task_registry,
+        on_result=on_result,
     )
     try:
         return coordinator.run()

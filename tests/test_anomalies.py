@@ -1,6 +1,5 @@
 """Tests for removal-anomaly detection."""
 
-import pytest
 from hypothesis import given, settings
 
 from repro import FirstFit, make_items, simulate

@@ -1,7 +1,5 @@
 """Tests for the API-reference generator and its sync contract."""
 
-from pathlib import Path
-
 from repro.tools.apidoc import (
     default_output_path,
     iter_public_modules,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import LiveMetricsServer, scrape
 
 
 class TestParser:
@@ -35,9 +36,78 @@ class TestMain:
         assert "[PASS]" in out
         assert "OPT_total" in out
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            main(["run", "definitely-not-real"])
+    def test_run_unknown_experiment(self, capsys):
+        assert main(["run", "definitely-not-real"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "run: unknown experiment 'definitely-not-real'; known: "
+        )
+        assert "thm1-anyfit" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestInputErrors:
+    """A bad name or path on the command line exits 2 with one stderr line
+    and no traceback; exit 1 stays reserved for a failed claim or replay."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        path = tmp_path / "day.json"
+        assert main(["generate", "--kind", "poisson", "--seed", "3",
+                     "--horizon", "30", "--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def _rejected(capsys, argv, message):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{argv[0]}: {message}")
+        return captured.err
+
+    def test_run_with_serve_metrics_rejects_unknown_experiment(self, capsys):
+        self._rejected(capsys, ["run", "nope", "--serve-metrics"],
+                       "unknown experiment 'nope'")
+
+    def test_report_rejects_unknown_experiment(self, capsys):
+        self._rejected(capsys, ["report", "bounds-sandwich", "nope"],
+                       "unknown experiment 'nope'")
+
+    def test_dispatch_rejects_unknown_algorithm_in_a_list(self, trace, capsys):
+        err = self._rejected(
+            capsys, ["dispatch", str(trace), "--algorithm", "first-fit,nope"],
+            "unknown algorithm 'nope'",
+        )
+        assert "best-fit" in err
+
+    def test_viz_rejects_unknown_algorithm(self, trace, capsys):
+        self._rejected(capsys, ["viz", str(trace), "--algorithm", "nope"],
+                       "unknown algorithm 'nope'")
+
+    @pytest.mark.parametrize("command", ["dispatch", "viz"])
+    def test_missing_trace(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        self._rejected(capsys, [command, str(missing)],
+                       f"cannot read trace {missing}: No such file or directory")
+
+    @pytest.mark.parametrize("command", ["dispatch", "viz"])
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            ("not json", "JSONDecodeError"),
+            ('{"name": "t"}', "KeyError"),
+            ('{"items": [{"id": 1, "arrival": 2, "departure": 1, "size": 0.5}]}',
+             "InvalidIntervalError"),
+        ],
+        ids=["not-json", "no-items", "bad-interval"],
+    )
+    def test_invalid_trace(self, tmp_path, capsys, command, document, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        self._rejected(capsys, [command, str(bad)], f"invalid trace {bad}: {reason}")
 
 
 class TestServeMetrics:
@@ -77,10 +147,34 @@ class TestServeMetrics:
                      "--serve-metrics"])
         assert code == 2
 
-    def test_run_serves_fleet_aggregate(self, capsys):
+    def test_run_serves_fleet_aggregate(self, capsys, monkeypatch):
+        # Scrape the endpoint each time the run publishes, so the test sees
+        # what a client is served, not just the exit code.
+        served: list[str] = []
+        publish = LiveMetricsServer.publish
+
+        def publish_and_scrape(self, prom, json_body):
+            publish(self, prom, json_body)
+            served.append(scrape(self.port).decode())
+
+        monkeypatch.setattr(LiveMetricsServer, "publish", publish_and_scrape)
         assert main(["run", "bounds-sandwich", "--serve-metrics"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+        assert served == [
+            "# HELP dbp_claims_checked_total Paper claims evaluated\n"
+            "# TYPE dbp_claims_checked_total counter\n"
+            "dbp_claims_checked_total 2\n"
+            "# HELP dbp_claims_failed_total Paper claims that FAILED\n"
+            "# TYPE dbp_claims_failed_total counter\n"
+            "dbp_claims_failed_total 0\n"
+            "# HELP dbp_experiment_rows_total Table rows produced by experiments\n"
+            "# TYPE dbp_experiment_rows_total counter\n"
+            "dbp_experiment_rows_total 4\n"
+            "# HELP dbp_experiments_completed_total Experiments completed\n"
+            "# TYPE dbp_experiments_completed_total counter\n"
+            "dbp_experiments_completed_total 1\n"
+        ]
 
 
 class TestMigratingDispatch:

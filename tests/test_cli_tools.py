@@ -69,9 +69,11 @@ class TestDispatch:
 
         assert read(billed, "cost(billed)") >= read(cont, "cost(billed)")
 
-    def test_unknown_algorithm(self, trace_json):
-        with pytest.raises(KeyError):
-            main(["dispatch", str(trace_json), "--algorithm", "magic-fit"])
+    def test_unknown_algorithm(self, trace_json, capsys):
+        assert main(["dispatch", str(trace_json), "--algorithm", "magic-fit"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "dispatch: unknown algorithm 'magic-fit'; known: "
+        )
 
 
 class TestViz:

@@ -5,7 +5,6 @@ import pytest
 from repro import BestFit, FirstFit, NewBinPerItem, NextFit, SimulationError
 from repro.cloud import CloudGamingDispatcher, ServerType, dispatch_trace
 from repro.opt.lower_bounds import opt_total_lower_bound
-from repro.workloads import generate_gaming_trace
 
 
 class TestServerType:

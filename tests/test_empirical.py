@@ -6,7 +6,6 @@ import pytest
 from repro import FirstFit, Item, simulate
 from repro.workloads import (
     Trace,
-    generate_gaming_trace,
     profile_trace,
     synthesize_trace,
 )

@@ -1,22 +1,18 @@
-"""Tests for the live observability plane (`repro.obs.live`) and the
-fleet-wide merge contract it exposes during parallel runs.
+"""Tests for the live observability plane (`repro.obs.live`).
 
 Covers the HTTP surface (routes, readiness, point-in-time snapshots), the
-deterministic heartbeat, the end-to-end guarantee that a mid-run scrape is
-well-formed while the *final* scrape byte-equals the ``metrics.prom``
-artifact, and the cross-worker guarantee that the merged registry export
-is byte-identical at 1/2/4 workers and under shuffled completion orders.
+deterministic heartbeat, and the end-to-end guarantee that a mid-run
+scrape is well-formed while the *final* scrape byte-equals the
+``metrics.prom`` artifact.
 """
 
 from __future__ import annotations
 
 import io
-import random
 
 import pytest
 
 from repro import FirstFit
-from repro.analysis.sweep import run_sweep
 from repro.obs import (
     Heartbeat,
     LiveExportObserver,
@@ -26,8 +22,6 @@ from repro.obs import (
     observe_stream,
     scrape,
 )
-from repro.obs.aggregate import merge_states
-from repro.parallel import task_registry
 from repro.workloads import Clipped, Exponential, Uniform
 from repro.workloads.generators import stream_trace
 
@@ -172,83 +166,3 @@ class TestLiveDispatchEndToEnd:
     def test_publish_every_validation(self):
         with pytest.raises(ValueError, match="publish_every"):
             LiveExportObserver(MetricsRegistry(), publish_every=0)
-
-
-# ----------------------------------------------- cross-worker fleet registry
-
-
-def _sweep_point(width: int, depth: int) -> dict:
-    """Module-level (picklable) sweep task recording per-task telemetry."""
-    registry = task_registry()
-    area = width * depth
-    if registry is not None:
-        registry.counter("sweep_points_total", "Points evaluated").inc()
-        registry.counter("sweep_area_total", "Sum of point areas").inc(area)
-        registry.gauge("sweep_peak_area", "Peak area seen").inc(area)
-        registry.histogram(
-            "sweep_width", "Point widths", buckets=(2.0, 4.0, 8.0)
-        ).observe(float(width))
-    return {"width": width, "depth": depth, "area": area}
-
-
-GRID = [{"width": w, "depth": d} for w in range(1, 7) for d in range(1, 4)]
-
-
-def _fleet_export(workers: int) -> tuple[str, list]:
-    states: list[dict] = []
-    rows = run_sweep(
-        _sweep_point,
-        GRID,
-        workers=workers,
-        chunk_size=2 if workers > 1 else None,
-        on_task_registry=lambda index, state: states.append((index, state)),
-    )
-    assert len(states) == len(GRID)
-    merged = merge_states(state for _, state in states)
-    return merged.to_prometheus(), rows.rows
-
-
-class TestCrossWorkerAggregation:
-    def test_merged_export_byte_identical_across_worker_counts(self):
-        prom_serial, rows_serial = _fleet_export(1)
-        assert "sweep_points_total 18\n" in prom_serial
-        for workers in (2, 4):
-            prom, rows = _fleet_export(workers)
-            assert prom == prom_serial
-            assert rows == rows_serial
-
-    def test_merged_export_invariant_under_completion_order(self):
-        states: list[dict] = []
-        run_sweep(
-            _sweep_point,
-            GRID,
-            on_task_registry=lambda index, state: states.append(state),
-        )
-        baseline = merge_states(states).to_prometheus()
-        rng = random.Random(5)
-        for _ in range(4):
-            rng.shuffle(states)
-            assert merge_states(states).to_prometheus() == baseline
-
-    def test_serial_path_delivers_states_with_indices(self):
-        seen: list[int] = []
-        run_sweep(
-            _sweep_point,
-            GRID[:5],
-            on_task_registry=lambda index, state: seen.append(index),
-        )
-        assert seen == list(range(5))
-
-    def test_fleet_registry_can_be_served_live(self):
-        states: list[dict] = []
-        run_sweep(
-            _sweep_point,
-            GRID[:4],
-            on_task_registry=lambda index, state: states.append(state),
-        )
-        aggregate = merge_states(states)
-        with LiveMetricsServer() as server:
-            server.publish(aggregate.to_prometheus(), aggregate.to_json() + "\n")
-            assert scrape(server.port, "/metrics").decode() == (
-                aggregate.to_prometheus()
-            )

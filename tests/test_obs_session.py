@@ -221,8 +221,13 @@ class TestCLI:
         trace_out.write_text("\n".join(lines) + "\n")
         assert main(["verify-trace", str(trace_out)]) == 1
 
-    def test_verify_trace_missing_file_is_an_error(self, tmp_path):
-        assert main(["verify-trace", str(tmp_path / "nope.jsonl")]) == 1
+    def test_verify_trace_missing_file_is_an_error(self, tmp_path, capsys):
+        # A path that cannot be read is a usage error (2), not a failed replay (1).
+        missing = tmp_path / "nope.jsonl"
+        assert main(["verify-trace", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"verify-trace: cannot read trace {missing}: No such file or directory\n"
+        )
 
     def test_dispatch_observed_runs_are_deterministic(self, tmp_path, trace_file):
         digests = []

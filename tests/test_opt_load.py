@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from repro import Item, make_items
+from repro import make_items
 from repro.opt.load import active_profile, load_profile, max_load
 from tests.conftest import exact_items, mixed_float_trace
 

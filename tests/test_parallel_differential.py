@@ -2,23 +2,29 @@
 
 The determinism contract of :mod:`repro.parallel`, checked end-to-end:
 for **every registered experiment**, running the catalogue sharded across
-2 and 4 workers yields tables, claim checks, and exported JSON artifacts
-exactly equal to the serial run; the same holds for ``run_sweep`` over a
-seeded grid.  The serial run is also where every claim is checked at the
-experiments' default parameters.  CI re-runs this module as the
-``parallel-smoke`` job and byte-diffs a seeded artifact on disk.
+2 and 4 workers yields tables, claim checks, exported JSON artifacts and
+the counters ``run --serve-metrics`` serves exactly equal to the serial
+run; the same holds for ``run_sweep`` over a seeded grid.  The serial run
+is also where every claim is checked at the experiments' default
+parameters, and it is what ``docs/REPORT.md`` prints.  CI re-runs this
+module as the ``parallel-smoke`` job and byte-diffs a seeded artifact on
+disk.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import FirstFit, simulate
 from repro.analysis.sweep import grid, run_sweep, seeded_points
+from repro.cli import _count_experiment
 from repro.experiments import available_experiments, run_experiments
 from repro.experiments.io import result_to_dict, results_to_json
+from repro.experiments.report import render_markdown
+from repro.obs import MetricsRegistry
 from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 
 WORKER_COUNTS = (2, 4)
@@ -42,7 +48,6 @@ def parallel_catalogues(serial_catalogue):
 
 
 def test_every_claim_holds_at_the_default_parameters(serial_catalogue):
-    """The catalogue at its defaults is what ``docs/REPORT.md`` prints."""
     names, serial = serial_catalogue
     failing = [
         f"{name}: {check}"
@@ -77,6 +82,50 @@ def test_catalogue_artifact_bytes_match_serial(serial_catalogue, parallel_catalo
             results_to_json(parallel_catalogues[workers]).encode()
             == results_to_json(serial).encode()
         )
+
+
+REPORT = Path(__file__).resolve().parents[1] / "docs" / "REPORT.md"
+
+
+def test_docs_report_is_the_default_catalogue(serial_catalogue):
+    """``python -m repro report --out docs/REPORT.md`` regenerates the file."""
+    _, serial = serial_catalogue
+    assert render_markdown(serial) == REPORT.read_text(encoding="utf-8")
+
+
+#: What ``run all --serve-metrics`` serves once the whole catalogue is in.
+FLEET_COUNTERS = (
+    "# HELP dbp_claims_checked_total Paper claims evaluated\n"
+    "# TYPE dbp_claims_checked_total counter\n"
+    "dbp_claims_checked_total 63\n"
+    "# HELP dbp_claims_failed_total Paper claims that FAILED\n"
+    "# TYPE dbp_claims_failed_total counter\n"
+    "dbp_claims_failed_total 0\n"
+    "# HELP dbp_experiment_rows_total Table rows produced by experiments\n"
+    "# TYPE dbp_experiment_rows_total counter\n"
+    "dbp_experiment_rows_total 417\n"
+    "# HELP dbp_experiments_completed_total Experiments completed\n"
+    "# TYPE dbp_experiments_completed_total counter\n"
+    "dbp_experiments_completed_total 24\n"
+)
+
+
+def _served(results) -> str:
+    registry = MetricsRegistry()
+    for result in results:
+        _count_experiment(registry, result)
+    return registry.to_prometheus()
+
+
+def test_served_fleet_counters_match_at_every_worker_count(
+    serial_catalogue, parallel_catalogues
+):
+    _, serial = serial_catalogue
+    assert _served(serial) == FLEET_COUNTERS
+    # Results reach the counter in completion order; integer sums ignore it.
+    assert _served(reversed(serial)) == FLEET_COUNTERS
+    for workers in WORKER_COUNTS:
+        assert _served(parallel_catalogues[workers]) == FLEET_COUNTERS
 
 
 # Fast deterministic experiments, enough to exercise multi-chunk scheduling.

@@ -229,6 +229,23 @@ def test_on_progress_reports_monotonic_completion():
     assert sorted(index for _, _, index in seen) == list(range(7))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_on_result_delivers_each_result_once_before_its_progress(workers):
+    events = []
+    results = run_tasks(
+        _square,
+        list(range(7)),
+        workers=workers,
+        chunk_size=2,
+        on_result=lambda index, result: events.append(("result", index, result)),
+        on_progress=lambda done, total, index: events.append(("progress", index)),
+    )
+    delivered = events[0::2]
+    assert sorted(delivered) == [("result", i, i * i) for i in range(7)]
+    assert events[1::2] == [("progress", index) for _, index, _ in delivered]
+    assert results == [i * i for i in range(7)]
+
+
 def test_parallel_manifest_is_byte_stable():
     a = parallel_manifest(kind="sweep", tasks=12, workers=4, root_seed=7)
     b = parallel_manifest(kind="sweep", tasks=12, workers=4, root_seed=7)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro import FirstFit, make_items, simulate
+from repro import make_items
 from repro.clairvoyant import (
     DurationAlignedFit,
     MinExpandFit,
