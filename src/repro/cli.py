@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _InputError(Exception):
-    """A name or path given on the command line that cannot be used.
+    """A name, path or value given on the command line that cannot be used.
 
     :func:`main` prints it as one stderr line and exits 2, the usage-error
     code, so a typo never reads as a failed paper claim (exit 1).
@@ -217,6 +217,25 @@ def _require_known(kind: str, names: Sequence[str], known: Sequence[str]) -> Non
     for name in names:
         if name not in known:
             raise _InputError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
+
+
+def _require_positive(**options: float | None) -> None:
+    """Reject a numeric option that is not positive (NaN included);
+    ``None`` means the option was not given."""
+    for name, value in options.items():
+        if value is not None and not value > 0:
+            raise _InputError(f"--{name} must be positive, got {value}")
+
+
+def _require_fits(trace, capacity: float) -> None:
+    """Reject a trace with an item that no bin of ``capacity`` holds."""
+    from .core.item import validate_items
+    from .core.validation import TraceValidationError
+
+    try:
+        validate_items(trace.items, capacity=capacity)
+    except TraceValidationError as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _load_trace(path: Path):
@@ -319,7 +338,10 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    _require_positive(capacity=args.capacity, rate=args.rate, quantum=args.quantum)
     trace = _load_trace(args.trace)
+    # Checked here, before the shards and the streamed paths do any work.
+    _require_fits(trace, args.capacity)
     if len(algorithms) > 1:
         return _dispatch_compare(args, algorithms)
     algo = get_algorithm(algorithms[0])
@@ -503,7 +525,9 @@ def _cmd_viz(args: argparse.Namespace) -> int:
     from .core.simulator import simulate
 
     _require_known("algorithm", [args.algorithm], available_algorithms())
+    _require_positive(capacity=args.capacity)
     trace = _load_trace(args.trace)
+    _require_fits(trace, args.capacity)
     result = simulate(trace.items, get_algorithm(args.algorithm), capacity=args.capacity)
     print(render_packing_timeline(result, width=args.width, max_bins=args.max_bins))
     print(render_load_sparkline(result, width=args.width))

@@ -151,12 +151,12 @@ class Bin:
         algorithms must check :meth:`fits` first, and the simulator treats a
         violation as an algorithm bug rather than silently accepting it.
         """
-        if self.is_closed:
+        if self.closed_at is not None:
             raise BinClosedError(f"bin {self.index} is closed; cannot add {item.item_id}")
-        if not self.fits(item):
-            # Dominance is a partial order: "does not fit" must be spelled
-            # not-fits, not size > residual (incomparable vectors are
-            # neither).
+        if not item.size <= self.capacity - self._level:
+            # The test fits() makes, inline.  Dominance is a partial order:
+            # "does not fit" must be spelled not size <= residual, not
+            # size > residual (incomparable vectors are neither).
             raise CapacityExceededError(
                 f"item {item.item_id} (size {item.size}) does not fit in bin "
                 f"{self.index} (residual {self.residual})"
@@ -168,7 +168,7 @@ class Bin:
         self._contents[item.item_id] = item
         self._level = self._level + item.size
         if self.record_log:
-            self.assignments.append(BinAssignment(time=time, item=item))
+            self.assignments.append(BinAssignment(time, item))
 
     def force_close(self, time: Num) -> list[PackedItem]:
         """Forcibly close the bin at ``time``, evicting every current item.
@@ -191,7 +191,7 @@ class Bin:
 
     def remove(self, item_id: str, time: Num) -> PackedItem:
         """Remove a departing item; closes the bin if it becomes empty."""
-        if self.is_closed:
+        if self.closed_at is not None:
             raise BinClosedError(f"bin {self.index} is closed; cannot remove {item_id}")
         try:
             item = self._contents.pop(item_id)

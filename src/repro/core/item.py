@@ -132,6 +132,28 @@ class Item:
         return replace(self, departure=departure)
 
 
+_SET_FIELDS = tuple(
+    getattr(Item, name).__set__ for name in ("arrival", "departure", "size", "item_id", "tag")
+)
+
+
+def _resized(item: Item, size: Size) -> Item:
+    """A copy of the validated ``item`` with another valid ``size``.
+
+    The slot setters skip :meth:`Item.__post_init__`: the copy keeps every
+    checked field but the size, and the caller vouches for that (an exact
+    size times a lattice scale, see :mod:`repro.core.numeric`).
+    """
+    copy = object.__new__(Item)
+    set_arrival, set_departure, set_size, set_item_id, set_tag = _SET_FIELDS
+    set_arrival(copy, item.arrival)
+    set_departure(copy, item.departure)
+    set_size(copy, size)
+    set_item_id(copy, item.item_id)
+    set_tag(copy, item.tag)
+    return copy
+
+
 def make_items(
     triples: Iterable[tuple[Num, Num, Size]],
     *,

@@ -8,9 +8,10 @@ plus derived quantities such as average utilisation of a packing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, cast
 
-from .numeric import Num
+from .numeric import Num, lattice_scale, to_lattice
 from .interval import Interval, union_length
 from .item import Item
 from .resources import Resources, Size, elementwise_max, elementwise_min
@@ -26,6 +27,10 @@ __all__ = [
     "trace_stats",
     "utilization",
 ]
+
+
+#: Time types a sum on the integer lattice keeps exact.
+_EXACT_TIMES = (int, Fraction)
 
 
 def _as_list(items: Iterable[Item]) -> list[Item]:
@@ -58,9 +63,26 @@ def trace_span(items: Iterable[Item]) -> Num:
 
 def total_demand(items: Iterable[Item]) -> Size:
     """``u(R) = Σ_r s(r)·len(I(r))``: the total resource demand
-    (per-dimension for vector traces)."""
+    (per-dimension for vector traces).
+
+    A trace of exact sizes and times with a non-integral size sums on the
+    integer lattice of :mod:`repro.core.numeric`: each ``s(r)·D`` is an
+    ``int``, and one division by ``D`` ends the sum, a ``Fraction`` equal
+    to the sum of the demands.  Float times keep the direct sum: a float
+    length rounds differently at another scale.
+    """
+    items = _as_list(items)
+    scale = lattice_scale(1, [it.size for it in items])
+    if scale is not None and scale > 1 and all(
+        isinstance(it.arrival, _EXACT_TIMES) and isinstance(it.departure, _EXACT_TIMES)
+        for it in items
+    ):
+        lattice_total: Num = 0
+        for it in items:
+            lattice_total += to_lattice(cast(int, it.size), scale) * (it.departure - it.arrival)
+        return Fraction(lattice_total, scale)
     total: Size = 0
-    for it in _as_list(items):
+    for it in items:
         total = total + it.demand
     return total
 

@@ -17,9 +17,12 @@ capacity, and :func:`to_lattice` multiplies a value by it.  Scaling by
 arithmetic on the scaled values makes exactly the decisions ``Fraction``
 arithmetic makes on the originals, and costs, which integrate time rather
 than size, do not change.  Record-mode
-:func:`~repro.core.simulator.simulate` and the snapshot sweeps of
-:mod:`repro.opt.snapshot` run there and map results back to the caller's
-units at their boundary.
+:func:`~repro.core.simulator.simulate` (whose result lists the caller's
+own items), the snapshot sweeps of :mod:`repro.opt.snapshot`, and the
+demand and pointwise load sums of
+:func:`~repro.core.metrics.total_demand` and
+:func:`~repro.opt.lower_bounds.pointwise_lower_bound` run there and map
+results back to the caller's units at their boundary.
 """
 
 from __future__ import annotations

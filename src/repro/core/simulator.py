@@ -9,7 +9,8 @@ Two driving styles share one engine:
   position as its departure tiebreak); a generator with sorted arrivals
   is read in full first, with the admission checks a streamed run makes.
   An exact trace runs on the integer lattice of :mod:`repro.core.numeric`
-  and its result is mapped back to the caller's units.
+  and its result is mapped back to the caller's units.  The result lists
+  the caller's own items.
 * :class:`Simulator` is the incremental engine itself, which *adaptive
   adversaries* drive step by step: they submit arrivals, observe the
   resulting bin states, and only then decide departure times.  The paper's
@@ -36,15 +37,15 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator as _Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, cast
 
 from .numeric import Num, lattice_scale, to_lattice
 from ..algorithms.base import OPEN_NEW, Arrival, PackingAlgorithm
-from .bin import Bin
+from .bin import Bin, CapacityExceededError
 from .bin_index import OpenBinIndex, OpenBinView
 from .events import _by_arrival, _merge_events, _out_of_order, check_fits
-from .item import Item, validate_items
+from .item import Item, _resized, validate_items
 from .resources import (
     Resources,
     Size,
@@ -146,7 +147,9 @@ class Simulator:
         self._open_view = OpenBinView(self._bins)
         self._all_bins: list[Bin] = []
         self._active: dict[str, _ActiveItem] = {}
-        self._finalized: list[Item] = []
+        # (view, end time) of every finished session, built into items by
+        # finish().
+        self._finalized: list[tuple[Arrival, Num]] = []
         self._assignment: dict[str, int] = {}
         self._now: Num | None = None
         self._auto_id = 0
@@ -225,7 +228,10 @@ class Simulator:
         item.  ``None`` means the item was refused: :meth:`_open_bin`
         declined the new bin the algorithm asked for (only a subclass does).
         """
-        self._advance(time)
+        now = self._now  # _advance, inline: this and depart run per session
+        if now is not None and time < now:
+            raise SimulationError(f"event at time {time} precedes current time {now}")
+        self._now = time
         if not is_valid_size(size):
             raise InvalidItemSizeError(size, item_id=item_id)
         dims = dims_of(size)
@@ -242,7 +248,7 @@ class Simulator:
         if item_id in self._active or item_id in self._assignment:
             raise _duplicate_id(item_id)
 
-        view = Arrival(item_id=item_id, size=size, arrival=time, tag=tag)
+        view = Arrival(item_id, size, time, tag)
         choice: Any = NotImplemented
         if self._use_indexed:
             choice = self.algorithm.choose_bin_indexed(view, self._bins)
@@ -259,20 +265,22 @@ class Simulator:
         else:
             target = choice
             opened = False
-            if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
+            # Every close path discards the bin, so an indexed bin is open.
+            if not isinstance(target, Bin) or target not in self._bins:
                 raise SimulationError(
                     f"algorithm {self.algorithm.name!r} returned an invalid bin for "
                     f"{item_id!r}: {choice!r}"
                 )
-            if not target.fits(view):
+            try:
+                target.add(view, time)
+            except CapacityExceededError:
                 raise SimulationError(
                     f"algorithm {self.algorithm.name!r} chose bin {target.index} "
                     f"(residual {target.residual}) for item of size {size}"
-                )
-            target.add(view, time)
+                ) from None
             self._bins.update(target)
         self._items_arrived += 1
-        self._active[item_id] = _ActiveItem(view=view, bin=target)
+        self._active[item_id] = _ActiveItem(view, target)
         if self._record:
             self._assignment[item_id] = target.index
         for observer in self.observers:
@@ -317,7 +325,10 @@ class Simulator:
 
     def depart(self, item_id: str, time: Num) -> Bin:
         """Remove an active item at ``time``; returns its (possibly closed) bin."""
-        self._advance(time)
+        now = self._now
+        if now is not None and time < now:
+            raise SimulationError(f"event at time {time} precedes current time {now}")
+        self._now = time
         try:
             record = self._active.pop(item_id)
         except KeyError:
@@ -337,15 +348,7 @@ class Simulator:
         for observer in self.observers:
             observer.on_departure(time, view, target, target.is_closed)
         if self._record:
-            self._finalized.append(
-                Item(
-                    arrival=view.arrival,
-                    departure=time,
-                    size=view.size,
-                    item_id=item_id,
-                    tag=view.tag,
-                )
-            )
+            self._finalized.append((view, time))
         return target
 
     def migrate(
@@ -394,7 +397,7 @@ class Simulator:
                 raise SimulationError(
                     f"item {item_id!r} is already in bin {source.index}"
                 )
-            if not isinstance(to_bin, Bin) or not to_bin.is_open or to_bin not in self._bins:
+            if not isinstance(to_bin, Bin) or to_bin not in self._bins:
                 raise SimulationError(
                     f"cannot migrate {item_id!r} into {to_bin!r}: not an "
                     "open bin of this simulation"
@@ -460,15 +463,7 @@ class Simulator:
                         f"{view.item_id!r} arrived at {view.arrival}; recorded "
                         "simulations need strictly positive eviction intervals"
                     )
-                self._finalized.append(
-                    Item(
-                        arrival=view.arrival,
-                        departure=time,
-                        size=view.size,
-                        item_id=view.item_id,
-                        tag=view.tag,
-                    )
-                )
+                self._finalized.append((view, time))
         self._bins.discard(target)
         self._closed_bin_time = self._closed_bin_time + target.usage_length
         for view in evicted:
@@ -497,31 +492,46 @@ class Simulator:
                 "finish() needs record=True; streaming simulations report via "
                 "finish_summary()"
             )
+        # _assignment's insertion order is arrival issue order.
+        issue_order = {item_id: i for i, item_id in enumerate(self._assignment)}
+        finalized = sorted(self._finalized, key=lambda pair: issue_order[pair[0].item_id])
+        items = tuple(
+            Item(view.arrival, end, view.size, view.item_id, view.tag)
+            for view, end in finalized
+        )
+        return self._result(items)
+
+    def _result(
+        self, items: tuple[Item, ...], caller_capacity: Size | None = None
+    ) -> PackingResult:
+        """The result of this finished run, listing ``items``.
+
+        :meth:`finish` and :func:`simulate` both assemble their result
+        here.  ``caller_capacity`` maps a run on the integer lattice back
+        to the caller's units: it stands for the run's capacity, which
+        every bin of such a run has, in the result and in each bin record.
+        """
         self._require_all_departed()
 
         def record_of(b: Bin) -> BinRecord:
             # All items departed, so every recorded bin has a complete life.
             assert b.opened_at is not None and b.closed_at is not None
             return BinRecord(
-                index=b.index,
-                label=b.label,
-                opened_at=b.opened_at,
-                closed_at=b.closed_at,
-                assignments=tuple((a.time, a.item.item_id) for a in b.assignments),
-                capacity=b.capacity,
+                b.index,
+                b.label,
+                b.opened_at,
+                b.closed_at,
+                tuple((a.time, a.item.item_id) for a in b.assignments),
+                b.capacity if caller_capacity is None else caller_capacity,
             )
 
-        records = tuple(record_of(b) for b in self._all_bins)
-        # _assignment's insertion order is arrival issue order.
-        issue_order = {item_id: i for i, item_id in enumerate(self._assignment)}
-        finalized = sorted(self._finalized, key=lambda it: issue_order[it.item_id])
         return PackingResult(
             algorithm_name=self.algorithm.name,
-            capacity=self.capacity,
+            capacity=self.capacity if caller_capacity is None else caller_capacity,
             cost_rate=self.cost_rate,
-            items=tuple(finalized),
+            items=items,
             assignment=dict(self._assignment),
-            bins=records,
+            bins=tuple(record_of(b) for b in self._all_bins),
         )
 
     def finish_summary(self) -> "StreamSummary":
@@ -583,12 +593,16 @@ def simulate(
     For O(active items) memory end to end — no PackingResult history —
     use :func:`repro.core.streaming.simulate_stream` instead.
 
+    ``result.items`` holds the caller's own :class:`~repro.core.item.Item`
+    objects in arrival issue order (the trace stable-sorted by arrival),
+    the order :meth:`Simulator.finish` lists.
+
     An exact trace (``int``/``Fraction`` capacity and scalar sizes) runs
     on the integer lattice of :mod:`repro.core.numeric`: the kernel sees
     every size and the capacity multiplied by ``D``, the lcm of their
     denominators, and makes the decisions the unscaled run makes, with
-    ``int`` arithmetic.  The result is mapped back — the caller's items
-    and capacity, equal to the unscaled run's result — and so is the
+    ``int`` arithmetic.  The result is mapped back — the caller's capacity,
+    equal to the unscaled run's result — and so is the
     repacker's state (see ``unscale`` in
     :class:`~repro.core.streaming.StreamRepacker`); the algorithm is
     ``reset`` once more with the caller's capacity.  A run stays in the
@@ -644,9 +658,12 @@ def simulate(
     if not (observers or max_bin_capacity is not None):
         scale = _run_scale(trace, capacity, algorithm, repacker)
     ordered, seqs = _by_arrival(trace)
+    # The caller's items in arrival issue order: the result lists them.
+    arrivals = list(ordered)
+    source: Iterable[Item] = arrivals
     if scale is not None:
-        arrivals = list(ordered)
-        ordered = (_on_lattice(item, scale) for item in arrivals)
+        # Each item scaled as the kernel pulls it.
+        source = (_resized(item, to_lattice(cast(int, item.size), scale)) for item in arrivals)
     sim = Simulator(
         algorithm,
         capacity=capacity if scale is None else to_lattice(cast(int, capacity), scale),
@@ -656,17 +673,9 @@ def simulate(
     )
     # Run the kernel to the end: it applies every event to ``sim`` itself
     # and yields only server failures, which this run has none of.
-    deque(_merge_events(ordered, seqs, sim=sim, hooks=repacker), maxlen=0)
-    result = sim.finish()
+    deque(_merge_events(source, seqs, sim=sim, hooks=repacker), maxlen=0)
+    result = sim._result(tuple(arrivals), None if scale is None else capacity)
     if scale is not None:
-        # The caller's items, in the arrival issue order finish() lists,
-        # and the caller's capacity.
-        result = replace(
-            result,
-            capacity=capacity,
-            items=tuple(arrivals),
-            bins=tuple(replace(record, capacity=capacity) for record in result.bins),
-        )
         if repacker is not None:
             repacker.unscale(scale)  # type: ignore[attr-defined]
         # Thresholds ``reset`` derived from the scaled capacity (MFF's and
@@ -729,8 +738,3 @@ def _run_scale(
             return None
     scale = lattice_scale(capacity, (item.size for item in trace))
     return scale if scale is not None and scale > 1 else None
-
-
-def _on_lattice(item: Item, scale: int) -> Item:
-    size = cast(int, item.size)
-    return Item(item.arrival, item.departure, to_lattice(size, scale), item.item_id, item.tag)

@@ -9,7 +9,7 @@ times, so integrals over it are exact sums.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..core.item import Item
 
@@ -24,10 +24,23 @@ def load_profile(items: Iterable[Item]) -> tuple[list[numbers.Real], list[number
     floats, sizes are re-summed per breakpoint group (never incrementally
     drifting) by accumulating signed deltas of the original values.
     """
+    items = list(items)
+    return _load_steps(items, [it.size for it in items])
+
+
+def _load_steps(
+    items: Sequence[Item], sizes: Sequence[numbers.Real]
+) -> tuple[list[numbers.Real], list[numbers.Real]]:
+    """:func:`load_profile` with ``sizes[i]`` standing for ``items[i].size``.
+
+    :func:`~repro.opt.lower_bounds.pointwise_lower_bound` passes the sizes
+    of the integer lattice (:mod:`repro.core.numeric`) to sum loads in
+    ``int`` arithmetic.
+    """
     deltas: dict[numbers.Real, numbers.Real] = {}
-    for it in items:
-        deltas[it.arrival] = deltas.get(it.arrival, 0) + it.size
-        deltas[it.departure] = deltas.get(it.departure, 0) - it.size
+    for it, size in zip(items, sizes):
+        deltas[it.arrival] = deltas.get(it.arrival, 0) + size
+        deltas[it.departure] = deltas.get(it.departure, 0) - size
     times = sorted(deltas)
     loads: list[numbers.Real] = []
     running: numbers.Real = 0

@@ -19,12 +19,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, cast
 
 from ..core.item import Item
 from ..core.metrics import total_demand, trace_span
+from ..core.numeric import lattice_scale, to_lattice
 from ..core.resources import Resources, Size
-from .load import load_profile
+from .load import _load_steps, load_profile
 
 __all__ = [
     "robust_ceil",
@@ -76,13 +77,26 @@ def pointwise_lower_bound(
 
     Wherever the load is positive at least one bin is needed (b.2's
     argument), and ``⌈load/W⌉ ≥ load/W`` recovers (b.1) under the integral.
+
+    An exact trace with a non-integral size or capacity sums its loads on
+    the integer lattice of :mod:`repro.core.numeric` and takes each
+    ceiling by ``int`` floor division, ``⌈load·D / W·D⌉``; the times, and
+    so the result's type, are the caller's.
     """
-    times, loads = load_profile(items)
+    items = list(items)
+    scale = lattice_scale(capacity, [it.size for it in items])
+    if scale is not None and scale > 1:
+        sizes = [to_lattice(cast(int, it.size), scale) for it in items]
+        times, loads = _load_steps(items, sizes)
+        per_bin = to_lattice(cast(int, capacity), scale)
+        needed = [-(-load // per_bin) for load in loads]
+    else:
+        times, loads = load_profile(items)
+        needed = [robust_ceil(load / capacity) for load in loads]
     total: numbers.Real = 0
     for i in range(len(times) - 1):
-        bins_needed = robust_ceil(loads[i] / capacity)
-        if bins_needed:
-            total = total + bins_needed * (times[i + 1] - times[i])
+        if needed[i]:
+            total = total + needed[i] * (times[i + 1] - times[i])
     return cost_rate * total
 
 

@@ -29,12 +29,13 @@ that takes an item.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from ..core.numeric import Num
 from ..core.bin import Bin, PackedItem
 from ..core.checkpoint import CheckpointError
-from ..core.resources import Size
+from ..core.resources import Resources, Size
 from ..core.validation import CheckpointFormatError
 from .strategies import scalar_size
 
@@ -43,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.simulator import Simulator
 
 __all__ = ["BoundedRepacker"]
+
+_size_of = attrgetter("size")
 
 
 class BoundedRepacker:
@@ -180,20 +183,25 @@ class BoundedRepacker:
         implies ``max(size) <= max(residual)``, so no feasible candidate
         is dropped.  The two largest residuals give every bin its roomiest
         alternative, so the filter costs O(n + m) for ``n`` open bins
-        holding ``m`` items.
+        holding ``m`` items, in C-level ``map``/``max`` calls for scalar
+        sizes.
         """
         bins = list(sim.open_bins)
         if len(bins) < 2:
             return None
         residuals = [b.residual for b in bins]
-        room = [scalar_size(r) for r in residuals]
+        if isinstance(residuals[0], Resources):
+            room = [scalar_size(r) for r in residuals]
+            largest = [max(map(scalar_size, map(_size_of, b.items()))) for b in bins]
+        else:
+            room = residuals
+            largest = [max(map(_size_of, b.items())) for b in bins]
         top = max(range(len(bins)), key=room.__getitem__)
         room_beside_top = max(room[:top] + room[top + 1 :])
         candidates = [
             (source, pos)
             for pos, source in enumerate(bins)
-            if max(scalar_size(view.size) for view in source.items())
-            <= (room_beside_top if pos == top else room[top])
+            if largest[pos] <= (room_beside_top if pos == top else room[top])
         ]
         candidates.sort(key=lambda c: (scalar_size(c[0].level), -c[0].index))
         for source, pos in candidates:

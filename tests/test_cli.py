@@ -109,6 +109,35 @@ class TestInputErrors:
         bad.write_text(document)
         self._rejected(capsys, [command, str(bad)], f"invalid trace {bad}: {reason}")
 
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("dispatch", ["--capacity", "0"], "--capacity must be positive, got 0.0"),
+            ("dispatch", ["--rate", "0"], "--rate must be positive, got 0.0"),
+            ("dispatch", ["--quantum", "-5"], "--quantum must be positive, got -5.0"),
+            ("dispatch", ["--capacity", "nan"], "--capacity must be positive, got nan"),
+            ("viz", ["--capacity", "-1"], "--capacity must be positive, got -1.0"),
+        ],
+    )
+    def test_non_positive_option(self, trace, capsys, command, options, message):
+        self._rejected(capsys, [command, str(trace), *options], message)
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("dispatch", []),
+            ("dispatch", ["--algorithm", "first-fit,best-fit", "--workers", "2"]),
+            ("dispatch", ["--migration-factor", "1"]),
+            ("viz", []),
+        ],
+        ids=["dispatch", "dispatch-sharded", "dispatch-migrating", "viz"],
+    )
+    def test_oversize_item(self, trace, capsys, command, options):
+        err = self._rejected(
+            capsys, [command, str(trace), "--capacity", "0.3", *options], "item '"
+        )
+        assert "exceeding bin capacity 0.3" in err
+
 
 class TestServeMetrics:
     def test_parser_port_forms(self):

@@ -7,7 +7,9 @@ capacity multiplied by ``D``, the lcm of their denominators
 same event kernel without scaling: ``_merge_events`` driving a
 :class:`~repro.core.simulator.Simulator` on the caller's items, which is
 the path the adaptive adversaries take.  Every case compares results,
-their number types, and the repacker's counters with it.
+their number types, and the repacker's counters with it.  The OPT
+bracket's demand and pointwise sums are compared with the same sums
+taken in the caller's units.
 """
 
 from __future__ import annotations
@@ -32,12 +34,19 @@ from repro.algorithms import (
 from repro.algorithms.base import Arrival
 from repro.core.events import EventKind, EventOrderError, _by_arrival, _merge_events, compile_events
 from repro.core.item import Item, make_items, validate_items
+from repro.core.metrics import total_demand, trace_stats
 from repro.core.numeric import lattice_scale, quotient, to_lattice
 from repro.core.resources import Resources
 from repro.core.simulator import SimulationError, Simulator, simulate
 from repro.core.telemetry import SimulationObserver
 from repro.core.validation import OversizedItemError, ResourceDimensionError
-from repro.opt.lower_bounds import opt_bracket
+from repro.opt.lower_bounds import (
+    demand_lower_bound,
+    dominance_lower_bound,
+    opt_bracket,
+    pointwise_lower_bound,
+    robust_ceil,
+)
 from repro.opt.snapshot import (
     SearchLimitReached,
     exact_bin_count,
@@ -473,3 +482,110 @@ class TestSnapshotSweeps:
         items = make_items([(0, 2, Fraction(1, 3)), (1, 2, Fraction(4, 3))])
         with pytest.raises(ValueError, match=r"^size 4/3 exceeds capacity 1$"):
             snapshot_profile(items)
+
+
+# ------------------------------------------------------------ bound sums
+
+
+def demand_by_fractions(items: list[Item]) -> Any:
+    """The demand sum in the caller's units: one ``s(r)·len(I(r))`` per item."""
+    total: Any = 0
+    for it in items:
+        total = total + it.size * (it.departure - it.arrival)
+    return total
+
+
+def pointwise_by_fractions(items: list[Item], capacity: Any) -> Any:
+    """``∫ ⌈load(t)/W⌉ dt`` on loads summed in the caller's units."""
+    deltas: dict[Any, Any] = {}
+    for it in items:
+        deltas[it.arrival] = deltas.get(it.arrival, 0) + it.size
+        deltas[it.departure] = deltas.get(it.departure, 0) - it.size
+    times = sorted(deltas)
+    loads, running = [], 0
+    for t in times:
+        running = running + deltas[t]
+        loads.append(running)
+    loads[-1] = 0
+    total: Any = 0
+    for i in range(len(times) - 1):
+        needed = robust_ceil(loads[i] / capacity)
+        if needed:
+            total = total + needed * (times[i + 1] - times[i])
+    return total
+
+
+def assert_same_number(got: Any, expected: Any) -> None:
+    assert got == expected
+    assert type(got) is type(expected)
+
+
+def assert_bounds_match_fractions(items: list[Item], capacity: Any) -> None:
+    assert_same_number(total_demand(items), demand_by_fractions(items))
+    assert_same_number(trace_stats(items).total_demand, demand_by_fractions(items))
+    assert_same_number(
+        demand_lower_bound(items, capacity=capacity, cost_rate=3),
+        3 * demand_by_fractions(items) / capacity,
+    )
+    assert_same_number(
+        pointwise_lower_bound(items, capacity=capacity, cost_rate=3),
+        3 * pointwise_by_fractions(items, capacity),
+    )
+
+
+class TestBoundSums:
+    """``total_demand`` and ``pointwise_lower_bound`` sum on the lattice
+    for exact traces, equal in value and type to the sums in caller units."""
+
+    @SETTINGS
+    @given(trace=exact_traces())
+    def test_exact_traces_match_the_fraction_sums(self, trace):
+        capacity, items = trace
+        assert_bounds_match_fractions(items, capacity)
+
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [(0, 3), (1, 4), (2, 9), (2, 3)],
+            [(Fraction(1, 2), 3), (1, Fraction(7, 3)), (2, 9), (Fraction(5, 2), Fraction(11, 4))],
+            [(0.5, 3.25), (1.0, 4.1), (2, 9.3), (2.5, 3)],
+        ],
+        ids=["int-times", "fraction-times", "float-times"],
+    )
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [1, 1, 1, 1],
+            [Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 6)],
+            [0.25, 0.5, 0.75, 0.125],
+        ],
+        ids=["int-sizes", "fraction-sizes", "float-sizes"],
+    )
+    def test_every_number_type_matches_the_fraction_sums(self, capacity, times, sizes):
+        items = make_items([(a, d, s) for (a, d), s in zip(times, sizes)])
+        assert_bounds_match_fractions(items, capacity)
+
+    def test_float_times_keep_the_direct_sum(self):
+        # On the lattice (D = 7) this float sum would end one ulp higher.
+        items = make_items(
+            [(0, 0.3, Fraction(2, 7)), (0, 0.1, Fraction(5, 7)), (0, 0.7, Fraction(1, 7))]
+        )
+        assert total_demand(items) == 0.2571428571428571
+        assert_same_number(total_demand(items), demand_by_fractions(items))
+
+    def test_vector_traces_keep_the_direct_sum(self):
+        items = make_items(
+            [
+                (0, 3, Resources(Fraction(1, 3), Fraction(1, 2))),
+                (1, Fraction(9, 2), Resources(Fraction(2, 3), Fraction(1, 4))),
+            ]
+        )
+        assert_same_number(total_demand(items), demand_by_fractions(items))
+        projections = [
+            pointwise_by_fractions(
+                [Item(it.arrival, it.departure, it.size[d], it.item_id) for it in items], 1
+            )
+            for d in range(2)
+        ]
+        assert_same_number(dominance_lower_bound(items), max(projections))
