@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py
 
-Every row runs on the scan-heavy stream of ``dbpbench``'s ``stream-ff``
-workload (arrival rate 100, ``Clipped(Exponential(100), 20, 200)``
-sessions, ``Uniform(0.3, 0.9)`` sizes, seed 0; thousands of open bins):
+Every row but ``repack`` runs on the scan-heavy stream of ``dbpbench``'s
+``stream-ff`` workload (arrival rate 100, ``Clipped(Exponential(100), 20,
+200)`` sessions, ``Uniform(0.3, 0.9)`` sizes, seed 0; thousands of open
+bins):
 
 * ``index``: record-mode ``simulate`` vs its list scan (``indexed=False``),
   First Fit and Best Fit, 10k items (a 100k list scan takes over a minute);
@@ -15,6 +16,11 @@ sessions, ``Uniform(0.3, 0.9)`` sizes, seed 0; thousands of open bins):
   a client scraping about once a second vs without, FF and BF at 100k;
 * ``memory``: ``tracemalloc`` peak of ``simulate_stream`` pulling the
   generator, 10k and 100k, in an untimed pass of its own;
+* ``repack``: ``simulate_stream`` with First Fit and ``BoundedRepacker(1)``
+  vs First Fit alone on the migration probe of
+  ``tests/test_obs_migration.py`` (2,000 ``stream_trace`` sessions, seed 3;
+  about a dozen open bins) with float, ``Fraction`` and 2-D sizes, and the
+  number of migrations;
 * ``catalogue``: wall time of every experiment, serial and at 2 workers.
 
 Inputs are built before the timer starts.  A ratio is the median and
@@ -22,7 +28,9 @@ quartiles over pairs whose order alternates (5 pairs at 10k items and
 below, 3 at 100k); both sides of every pair must compute the same result.
 Exit status 1 means a structural gate failed: the index is less than 5x
 the list scan at 10k, the 100k memory peak exceeds twice the 10k peak, or
-an equivalence check failed.  Other ratios are recorded without a bar.
+an equivalence check failed (including two repeats of a ``repack`` run
+that disagree on the summary or the migration count).  Other ratios are
+recorded without a bar.
 """
 
 from __future__ import annotations
@@ -37,13 +45,17 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 from repro import BestFit, FirstFit, simulate
+from repro.core.item import Item
+from repro.core.resources import Resources
 from repro.core.streaming import simulate_stream
 from repro.experiments import available_experiments, run_experiments
 from repro.experiments.io import results_to_json
 from repro.obs import LiveExportObserver, LiveMetricsServer, MetricsRegistry, observe_stream, scrape
+from repro.renting import BoundedRepacker
 from repro.workloads import Clipped, Exponential, Uniform, generate_vector_trace, stream_trace
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -52,6 +64,11 @@ SMALL, LARGE, VECTOR_SCAN = 10_000, 100_000, 2_000
 PAIRS = {SMALL: 5, LARGE: 3, VECTOR_SCAN: 5}
 DURATION = Clipped(Exponential(100.0), 20.0, 200.0)
 SIZE = Uniform(0.3, 0.9)
+#: The migration probe of tests/test_obs_migration.py, at its full size.
+PROBE = dict(
+    arrival_rate=5, duration=Clipped(Exponential(20), 2, 60), size=Uniform(0.05, 0.6), seed=3
+)
+PROBE_ITEMS, PROBE_PAIRS = 2_000, 5
 
 
 def stream(n_items: int):
@@ -65,6 +82,25 @@ def vector_items(n_items: int, dims: int) -> list:
         sizes=[SIZE] * dims, correlation=0.5, seed=0,
     )
     return list(trace)
+
+
+def probe_items(kind: str) -> list:
+    """The probe's sessions: float, exact (times on a 1/8 grid, sizes on a
+    1/64 grid, as ``Fraction``) or 2-D (``(s, 0.65 - s)``)."""
+    items = []
+    for item in stream_trace(n_items=PROBE_ITEMS, **PROBE):
+        if kind == "fraction":
+            item = Item(
+                Fraction(round(item.arrival * 8), 8),
+                Fraction(round(item.departure * 8), 8),
+                Fraction(round(item.size * 64), 64),
+                item.item_id,
+            )
+        elif kind == "2d":
+            size = Resources(item.size, 0.65 - item.size)
+            item = Item(item.arrival, item.departure, size, item.item_id)
+        items.append(item)
+    return items
 
 
 def clocked(fn):
@@ -222,6 +258,29 @@ def memory_rows(timed: dict) -> dict:
     return rows
 
 
+def repack_rows() -> dict:
+    """First Fit + ``BoundedRepacker(1)`` over First Fit alone, per size type."""
+    rows = {}
+    for kind in ("float", "fraction", "2d"):
+        items = probe_items(kind)
+
+        def repacked():
+            repacker = BoundedRepacker(1)
+            summary = simulate_stream(iter(items), FirstFit(), repacker=repacker)
+            return summary, repacker.migrations_done
+
+        stats, outputs = paired(
+            PROBE_PAIRS, lambda: simulate_stream(iter(items), FirstFit()), repacked
+        )
+        rows[kind] = {
+            "n_items": len(items),
+            **stats,
+            "migrations": outputs[0][1][1],
+            "repeats_agree": all(pair == outputs[0] for pair in outputs),
+        }
+    return rows
+
+
 def catalogue_row() -> dict:
     names = available_experiments()
     serial, serial_s = clocked(lambda: results_to_json(run_experiments(names)))
@@ -261,6 +320,7 @@ def gates(rows: dict) -> dict:
         *(row.get("packings_equal", True) for row in rows["vector"].values()),
         *(row["summaries_equal"] for row in (*rows["observed"].values(), *rows["live"].values())),
         *(rows["memory"][str(n)]["matches_timed_run"] for n in (SMALL, LARGE)),
+        *(row["repeats_agree"] for row in rows["repack"].values()),
         rows["catalogue"]["artifacts_equal"],
     ]
     return {
@@ -279,11 +339,14 @@ def main() -> int:
     rows["vector"], large = vector_rows(items)
     rows["observed"], rows["live"] = observer_rows(items)
     rows["memory"] = memory_rows({SMALL: small, LARGE: large})
+    rows["repack"] = repack_rows()
     rows["catalogue"] = catalogue_row()
     record = {
         "machine": machine(),
         "workload": "stream_trace(arrival_rate=100, duration=Clipped(Exponential(100), 20, 200), "
-        "size=Uniform(0.3, 0.9), seed=0); vector rows: that size per dimension, correlation 0.5",
+        "size=Uniform(0.3, 0.9), seed=0); vector rows: that size per dimension, correlation 0.5; "
+        "repack rows: stream_trace(arrival_rate=5, duration=Clipped(Exponential(20), 2, 60), "
+        "size=Uniform(0.05, 0.6), seed=3), 2,000 sessions",
         "rows": rows,
         "gates": gates(rows),
         "wall_s": round(time.perf_counter() - started, 1),

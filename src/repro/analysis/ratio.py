@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ..core.item import Item
 from ..core.result import PackingResult
-from ..core.simulator import simulate
+from ..core.simulator import _simulate_trace, _validated
 from ..algorithms.base import PackingAlgorithm
 from ..opt.lower_bounds import OptBracket, opt_bracket
 from ..opt.snapshot import opt_total_exact
@@ -84,12 +84,17 @@ def compare_algorithms(
 ) -> list[RatioMeasurement]:
     """Pack one trace with several algorithms and measure each against OPT.
 
-    The OPT bracket depends only on the trace, so it is computed once.
+    The OPT bracket and the trace's validation depend only on the trace,
+    so each is done once; the trace is validated where :func:`simulate`
+    would, before the first algorithm runs.
     """
     bracket = opt_bracket(items, capacity=capacity, cost_rate=cost_rate)
+    trace: list[Item] | None = None
     out = []
     for algo in algorithms:
-        result = simulate(items, algo, capacity=capacity, cost_rate=cost_rate)
+        if trace is None:
+            trace = _validated(items, capacity, capacity)
+        result = _simulate_trace(trace, algo, capacity=capacity, cost_rate=cost_rate)
         out.append(
             RatioMeasurement(
                 algorithm_name=result.algorithm_name,

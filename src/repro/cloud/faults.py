@@ -272,12 +272,12 @@ class _FaultLedger:
         # semantics); anything else isolates per original session.
         return attempt.tag if isinstance(attempt.tag, str) else self.origin(attempt)[0]
 
-    def after_arrival(self, sim: Simulator, item: Item) -> None:
+    def after_arrival(self, sim: Simulator, item: Item, bin: Bin | None) -> None:
         self.active[item.item_id] = item
         if self.induced is not None:
             self.induced.append(item)
 
-    def after_departure(self, sim: Simulator, item_id: str) -> None:
+    def after_departure(self, sim: Simulator, item_id: str, bin: Bin) -> None:
         attempt = self.active.pop(item_id)
         if self.breaker is not None:
             self.breaker.record_success(self.recovery_key(attempt))

@@ -125,15 +125,15 @@ class _FleetQueue:
         self.waits: list[Num] = []  #: per served request, in admission order
         self.dropped = 0
 
-    def after_arrival(self, sim: Simulator, item: Item) -> None:
-        if item.item_id in sim._active:
+    def after_arrival(self, sim: Simulator, item: Item, bin: Bin | None) -> None:
+        if bin is not None:
             self.waits.append(cast(Num, sim.now) - item.arrival)
         elif self.policy == QUEUE:
             self.waiting.append(item)
         else:
             self.dropped += 1
 
-    def after_departure(self, sim: Simulator, item_id: str) -> None:
+    def after_departure(self, sim: Simulator, item_id: str, bin: Bin) -> None:
         now = cast(Num, sim.now)
         waiting = self.waiting
         while waiting:

@@ -57,6 +57,7 @@ from .validation import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .bin import Bin
     from .item import Item
     from .simulator import Simulator
 
@@ -100,14 +101,21 @@ Ship = Callable[[list[Entry], int, int, "Num | None"], None]
 class _Hooks(Protocol):
     """What the kernel calls after every arrival and departure it applies.
 
-    ``after_arrival`` runs whether or not the simulator admitted the item:
-    only a simulator that declines a bin refuses one (a capped fleet, see
-    :mod:`repro.cloud.finite_fleet`), and its hook handles the refusal.
+    Each hook receives the bin the event touched: the bin
+    :meth:`~repro.core.simulator.Simulator.arrive` placed the item in, or
+    the bin :meth:`~repro.core.simulator.Simulator.depart` took it out of
+    (closed if the item was its last).  ``after_arrival`` runs whether or
+    not the simulator admitted the item: only a simulator that declines a
+    bin refuses one (a capped fleet, see :mod:`repro.cloud.finite_fleet`),
+    and then ``bin`` is ``None``.  Every other change to an open bin is
+    made by the hooks' owner itself (a repacker's migrations, the fault
+    driver's server failures, the capped fleet's re-offers), so a hooks
+    object may keep per-bin state until that bin changes.
     """
 
-    def after_arrival(self, sim: Simulator, item: Item) -> None: ...
+    def after_arrival(self, sim: Simulator, item: Item, bin: Bin | None) -> None: ...
 
-    def after_departure(self, sim: Simulator, item_id: str) -> None: ...
+    def after_departure(self, sim: Simulator, item_id: str, bin: Bin) -> None: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,11 +195,12 @@ def _merge_events(
 
     Without a ``sim`` the kernel yields every event as a ``(time, class,
     seq, payload)`` entry.  With one, it applies admissions and departures
-    to it itself, calling ``hooks`` after each, and drops departures of
-    items the simulator no longer holds (evicted by a server failure); it
-    yields only :attr:`EventKind.FAILURE` entries, which the caller
-    handles, pushing further entries onto ``pending`` — the heap it shares
-    with the kernel.  A failure never keeps a run alive: once the source
+    to it itself, calling ``hooks`` after each with the bin the event
+    touched (see :class:`_Hooks`), and drops departures of items the
+    simulator no longer holds (evicted by a server failure); it yields
+    only :attr:`EventKind.FAILURE` entries, which the caller handles,
+    pushing further entries onto ``pending`` — the heap it shares with
+    the kernel.  A failure never keeps a run alive: once the source
     is exhausted, the run ends at a failure that finds no active item and
     no pending re-admission.
 
@@ -246,9 +255,9 @@ def _merge_events(
             else:
                 if payload not in active:
                     continue  # evicted by a failure before its departure
-                depart(payload, time)
+                left = depart(payload, time)
                 if hooks is not None:
-                    after_departure(sim, payload)
+                    after_departure(sim, payload, left)
         elif cls == _FAILURE:
             if exhausted and not (
                 active or any(entry[1] == _READMISSION for entry in pending)
@@ -265,10 +274,11 @@ def _merge_events(
                 # id goes on the heap: an entry of atoms is not tracked by
                 # the garbage collector, which would otherwise walk every
                 # active item's entry on each collection.
-                if arrive(time, payload.size, payload.item_id, payload.tag) is not None:
+                placed = arrive(time, payload.size, payload.item_id, payload.tag)
+                if placed is not None:
                     push(pending, (payload.departure, _DEPARTURE, seq, payload.item_id))
                 if hooks is not None:
-                    after_arrival(sim, payload)
+                    after_arrival(sim, payload, placed)
         events += 1
         if events == ship_at:
             assert ship is not None and checkpoint_every is not None  # passed together

@@ -648,10 +648,50 @@ def simulate(
     2
     """
     cap_limit = capacity if max_bin_capacity is None else max_bin_capacity
+    return _simulate_trace(
+        _validated(items, capacity, cap_limit),
+        algorithm,
+        capacity=capacity,
+        cost_rate=cost_rate,
+        check=check,
+        indexed=indexed,
+        observers=observers,
+        max_bin_capacity=max_bin_capacity,
+        repacker=repacker,
+    )
+
+
+def _validated(items: Iterable[Item], capacity: Size, cap_limit: Size) -> list[Item]:
+    """:func:`simulate`'s first step: the trace as a validated list.
+
+    A one-shot iterator is read through :func:`_read_stream`; anything
+    else goes through :func:`~repro.core.item.validate_items`, with each
+    item checked to fit ``cap_limit``.
+    """
     if isinstance(items, _Iterator):
-        trace = _read_stream(items, capacity, cap_limit)
-    else:
-        trace = validate_items(items, capacity=cap_limit)
+        return _read_stream(items, capacity, cap_limit)
+    return validate_items(items, capacity=cap_limit)
+
+
+def _simulate_trace(
+    trace: list[Item],
+    algorithm: PackingAlgorithm,
+    *,
+    capacity: Size = 1,
+    cost_rate: Num = 1,
+    check: bool = False,
+    indexed: bool = True,
+    observers: Sequence["SimulationObserver"] = (),
+    max_bin_capacity: Size | None = None,
+    repacker: "StreamRepacker | None" = None,
+) -> PackingResult:
+    """:func:`simulate`'s second step: run a trace :func:`_validated` returned.
+
+    The options and their defaults are :func:`simulate`'s.  A caller that
+    runs one trace with several algorithms (such as
+    :func:`~repro.analysis.ratio.compare_algorithms`) validates it once
+    and calls this per algorithm.
+    """
     if repacker is not None:
         repacker.reset()  # first: the scale check reads its attributes
     scale = None

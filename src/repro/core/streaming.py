@@ -39,6 +39,7 @@ from .resources import Size
 from .simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .bin import Bin
     from .telemetry import SimulationObserver
 
 __all__ = ["StreamRepacker", "StreamSummary", "simulate_stream"]
@@ -56,6 +57,13 @@ class StreamRepacker(Protocol):
     checkpoint/resume stays exact: a checkpoint always reflects the fully
     repacked state plus :meth:`checkpoint_state`'s budget counters.
 
+    Each hook receives the bin the event touched.  A repacker sees every
+    change to an open bin through these hooks or its own migrations, so
+    it may keep per-bin state (such as an evacuation plan) until that bin
+    changes.  Every run starts with :meth:`reset`, or with
+    :meth:`restore_state` when it resumes; no bin of an earlier run is
+    seen again.
+
     A repacker may also define ``unscale(scale: int)``, dividing every
     size-valued counter by ``scale``.  Record-mode
     :func:`~repro.core.simulator.simulate` runs an exact trace on the
@@ -67,12 +75,14 @@ class StreamRepacker(Protocol):
         """Clear accumulated state at the start of a fresh run."""
         ...
 
-    def after_arrival(self, sim: "Simulator", item: Item) -> None:
-        """React to ``item`` having just been placed (may migrate)."""
+    def after_arrival(self, sim: "Simulator", item: Item, bin: "Bin | None") -> None:
+        """React to ``item`` having just been placed in ``bin`` (may
+        migrate); ``bin`` is ``None`` when the simulator refused it."""
         ...
 
-    def after_departure(self, sim: "Simulator", item_id: str) -> None:
-        """React to ``item_id`` having just departed (may migrate)."""
+    def after_departure(self, sim: "Simulator", item_id: str, bin: "Bin") -> None:
+        """React to ``item_id`` having just left ``bin``, which is closed
+        if the item was its last (may migrate)."""
         ...
 
     def checkpoint_state(self) -> Any:

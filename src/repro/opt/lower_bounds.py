@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, cast
 
 from ..core.item import Item
 from ..core.metrics import total_demand, trace_span
-from ..core.numeric import lattice_scale, to_lattice
+from ..core.numeric import lattice_scale, quotient, to_lattice
 from ..core.resources import Resources, Size
 from .load import _load_steps, load_profile
 
@@ -61,8 +61,8 @@ def robust_ceil(x: numbers.Real) -> int:
 def demand_lower_bound(
     items: Iterable[Item], *, capacity: numbers.Real = 1, cost_rate: numbers.Real = 1
 ) -> numbers.Real:
-    """Bound (b.1): ``C·u(R)/W``."""
-    return cost_rate * total_demand(items) / capacity
+    """Bound (b.1): ``C·u(R)/W``, exact when the demand and ``W`` are."""
+    return quotient(cost_rate * total_demand(items), capacity)
 
 
 def span_lower_bound(items: Iterable[Item], *, cost_rate: numbers.Real = 1) -> numbers.Real:
@@ -78,14 +78,15 @@ def pointwise_lower_bound(
     Wherever the load is positive at least one bin is needed (b.2's
     argument), and ``⌈load/W⌉ ≥ load/W`` recovers (b.1) under the integral.
 
-    An exact trace with a non-integral size or capacity sums its loads on
-    the integer lattice of :mod:`repro.core.numeric` and takes each
-    ceiling by ``int`` floor division, ``⌈load·D / W·D⌉``; the times, and
-    so the result's type, are the caller's.
+    An exact trace (``int`` or ``Fraction`` sizes and capacity) sums its
+    loads on the integer lattice of :mod:`repro.core.numeric` and takes
+    each ceiling by ``int`` floor division, ``⌈load·D / W·D⌉`` (``D = 1``
+    when every value is an ``int``); the times, and so the result's type,
+    are the caller's.
     """
     items = list(items)
     scale = lattice_scale(capacity, [it.size for it in items])
-    if scale is not None and scale > 1:
+    if scale is not None:
         sizes = [to_lattice(cast(int, it.size), scale) for it in items]
         times, loads = _load_steps(items, sizes)
         per_bin = to_lattice(cast(int, capacity), scale)

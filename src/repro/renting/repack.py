@@ -17,25 +17,29 @@ fitting destination, budget arithmetic stays in the trace's number types
 move counters ride in stream checkpoints (``repacker_state``) so resumed
 runs repack identically.
 
-One search over ``n`` open bins holding ``m`` items computes each bin's
-residual ``capacity - level`` once, then drops, in O(n + m), every source
-whose largest item is larger than every other bin's residual and so
-cannot move (on typical traces, most sources).  Only the rest are
-ordered and planned.  Planning probes each destination's cached residual
-with one comparison and recomputes a residual only for the destination
-that takes an item.
+The repacker keeps each open bin's *plan* — its residual, its largest
+item, its contents in move order, their total size and its place in the
+source order — from one search to the next, and drops it when the bin
+changes: an arrival into it, a departure from it, or a migration into or
+out of it.  The engine's hooks name the bin each event touched, so a
+search over ``n`` open bins recomputes only the plans of changed bins,
+then drops, in O(n), every source whose largest item is larger than
+every other bin's residual and so cannot move (on typical traces, most
+sources).  Only the rest are ordered and planned.  Planning probes each
+destination's residual with one comparison and recomputes a residual
+only for the destination that takes an item.  Plans are derived from bin
+contents, which checkpoints carry, so they never ride in a checkpoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..core.numeric import Num
 from ..core.bin import Bin, PackedItem
 from ..core.checkpoint import CheckpointError
-from ..core.resources import Resources, Size
+from ..core.resources import Size
 from ..core.validation import CheckpointFormatError
 from .strategies import scalar_size
 
@@ -45,7 +49,43 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["BoundedRepacker"]
 
-_size_of = attrgetter("size")
+
+def _move_order(view: PackedItem) -> tuple[Num, str]:
+    """An evacuation moves a bin's items largest first, ties by id."""
+    return (-scalar_size(view.size), view.item_id)
+
+
+class _Plan(NamedTuple):
+    """What the evacuation search needs of one open bin; valid until the
+    bin changes."""
+
+    residual: Size
+    #: ``residual`` as one number (its largest component for vectors).
+    room: Num
+    #: The largest item's scalar size: the first move's.
+    largest: Num
+    #: Source order: lightest first, then youngest.
+    key: tuple[Num, int]
+    #: The bin's items in move order.
+    contents: list[PackedItem]
+    #: Their total scalar size, the budget an evacuation spends.
+    moved: Num
+
+    @classmethod
+    def of(cls, source: Bin) -> "_Plan":
+        contents = sorted(source.items(), key=_move_order)
+        moved: Num = 0
+        for view in contents:
+            moved = moved + scalar_size(view.size)
+        residual = source.residual
+        return cls(
+            residual,
+            scalar_size(residual),
+            scalar_size(contents[0].size),
+            (scalar_size(source.level), -source.index),
+            contents,
+            moved,
+        )
 
 
 class BoundedRepacker:
@@ -81,10 +121,13 @@ class BoundedRepacker:
         self.migrations_done = 0
         self.size_moved: Num = 0
         self.bins_emptied = 0
+        #: The plan of every open bin a search has seen since it changed.
+        self._plans: dict[Bin, _Plan] = {}
 
     # ------------------------------------------------------ repacker protocol
 
     def reset(self) -> None:
+        self._plans.clear()
         self._budget = 0
         self.migrations_done = 0
         self.size_moved = 0
@@ -95,13 +138,16 @@ class BoundedRepacker:
         """Moved-size budget currently available."""
         return self._budget
 
-    def after_arrival(self, sim: "Simulator", item: "Item") -> None:
+    def after_arrival(self, sim: "Simulator", item: "Item", bin: Bin | None) -> None:
+        if bin is not None:  # None: the item was refused, no bin changed
+            self._plans.pop(bin, None)
         if self.factor == 0:
             return
         self._budget = self._budget + self.factor * scalar_size(item.size)
         self._consolidate(sim)
 
-    def after_departure(self, sim: "Simulator", item_id: str) -> None:
+    def after_departure(self, sim: "Simulator", item_id: str, bin: Bin) -> None:
+        self._plans.pop(bin, None)
         if self.factor == 0 or not self.consolidate_on_departure:
             return
         self._consolidate(sim)
@@ -113,7 +159,8 @@ class BoundedRepacker:
         trace with every size multiplied by ``scale`` (the integer lattice
         of :mod:`repro.core.numeric`) and maps this state back to the
         caller's units through here.  A counter the run changed reads as a
-        ``Fraction`` equal to the unscaled run's value.
+        ``Fraction`` equal to the unscaled run's value.  A finished run
+        keeps no plan (every bin closed), so none is left in scaled units.
         """
         if self.factor == 0:
             return  # nothing accrued, nothing moved
@@ -130,6 +177,7 @@ class BoundedRepacker:
         }
 
     def restore_state(self, state: Any) -> None:
+        self._plans.clear()  # the resumed run's bins are new objects
         if state is None:
             raise CheckpointError(
                 "checkpoint carries no repacker state; it was taken without a "
@@ -153,13 +201,16 @@ class BoundedRepacker:
 
     def _consolidate(self, sim: "Simulator") -> None:
         """Perform every affordable evacuation, cheapest source first."""
+        plans = self._plans
         while True:
-            plan = self._find_evacuation(sim)
-            if plan is None:
+            found = self._find_evacuation(sim)
+            if found is None:
                 return
-            source, moves, moved = plan
+            source, moves, moved = found
+            plans.pop(source, None)
             for item_id, dest in moves:
                 sim.migrate(item_id, dest)
+                plans.pop(dest, None)
             self._budget = self._budget - moved
             self.size_moved = self.size_moved + moved
             self.migrations_done += len(moves)
@@ -182,44 +233,39 @@ class BoundedRepacker:
         i.e. their maximum.  For vector sizes, fitting a bin (dominance)
         implies ``max(size) <= max(residual)``, so no feasible candidate
         is dropped.  The two largest residuals give every bin its roomiest
-        alternative, so the filter costs O(n + m) for ``n`` open bins
-        holding ``m`` items, in C-level ``map``/``max`` calls for scalar
-        sizes.
+        alternative, so the filter costs O(n) for ``n`` open bins once
+        their plans are known; only the plans of bins that changed since
+        the last search are computed.
         """
         bins = list(sim.open_bins)
         if len(bins) < 2:
             return None
-        residuals = [b.residual for b in bins]
-        if isinstance(residuals[0], Resources):
-            room = [scalar_size(r) for r in residuals]
-            largest = [max(map(scalar_size, map(_size_of, b.items()))) for b in bins]
-        else:
-            room = residuals
-            largest = [max(map(_size_of, b.items())) for b in bins]
+        plans = self._plans
+        rows = [plans.get(b) or plans.setdefault(b, _Plan.of(b)) for b in bins]
+        room = [row.room for row in rows]
         top = max(range(len(bins)), key=room.__getitem__)
         room_beside_top = max(room[:top] + room[top + 1 :])
-        candidates = [
-            (source, pos)
-            for pos, source in enumerate(bins)
-            if largest[pos] <= (room_beside_top if pos == top else room[top])
-        ]
-        candidates.sort(key=lambda c: (scalar_size(c[0].level), -c[0].index))
-        for source, pos in candidates:
-            contents = sorted(
-                source.items(), key=lambda v: (-scalar_size(v.size), v.item_id)
-            )
-            moved: Num = 0
-            for view in contents:
-                moved = moved + scalar_size(view.size)
+        roomiest = room[top]
+        # Keys are distinct (bin indices are), so positions never compare.
+        candidates = sorted(
+            [
+                (row.key, pos)
+                for pos, row in enumerate(rows)
+                if row.largest <= (room_beside_top if pos == top else roomiest)
+            ]
+        )
+        for _, pos in candidates:
+            row = rows[pos]
+            moved = row.moved
             if moved > self._budget:
                 continue
             moves = self._plan(
-                contents,
+                row.contents,
                 bins[:pos] + bins[pos + 1 :],
-                residuals[:pos] + residuals[pos + 1 :],
+                [other.residual for other in rows[:pos] + rows[pos + 1 :]],
             )
             if moves is not None:
-                return source, moves, moved
+                return bins[pos], moves, moved
         return None
 
     @staticmethod

@@ -509,7 +509,7 @@ def pointwise_by_fractions(items: list[Item], capacity: Any) -> Any:
     loads[-1] = 0
     total: Any = 0
     for i in range(len(times) - 1):
-        needed = robust_ceil(loads[i] / capacity)
+        needed = robust_ceil(quotient(loads[i], capacity))
         if needed:
             total = total + needed * (times[i + 1] - times[i])
     return total
@@ -525,7 +525,7 @@ def assert_bounds_match_fractions(items: list[Item], capacity: Any) -> None:
     assert_same_number(trace_stats(items).total_demand, demand_by_fractions(items))
     assert_same_number(
         demand_lower_bound(items, capacity=capacity, cost_rate=3),
-        3 * demand_by_fractions(items) / capacity,
+        quotient(3 * demand_by_fractions(items), capacity),
     )
     assert_same_number(
         pointwise_lower_bound(items, capacity=capacity, cost_rate=3),
@@ -565,6 +565,23 @@ class TestBoundSums:
     def test_every_number_type_matches_the_fraction_sums(self, capacity, times, sizes):
         items = make_items([(a, d, s) for (a, d), s in zip(times, sizes)])
         assert_bounds_match_fractions(items, capacity)
+
+    def test_all_int_pointwise_bound_takes_exact_ceilings(self):
+        # D = 1: a float ratio 1.0000000001 would be snapped down to 1.
+        sizes = (5 * 10**9, 5 * 10**9 + 1)
+        ints = make_items([(0, 1, s) for s in sizes])
+        fractions = make_items([(0, 1, Fraction(s)) for s in sizes])
+        bound = pointwise_lower_bound(ints, capacity=10**10)
+        assert_same_number(bound, 2)
+        assert bound == pointwise_lower_bound(fractions, capacity=Fraction(10**10))
+        demand = demand_lower_bound(ints, capacity=10**10)
+        assert_same_number(demand, Fraction(10**10 + 1, 10**10))
+        assert bound >= demand  # the pointwise bound dominates (b.1)
+
+    def test_all_int_demand_bound_is_exact(self):
+        bracket = opt_bracket(make_items([(0, 2, 1), (0, 2, 1), (1, 3, 2)]), capacity=2)
+        assert_same_number(bracket.demand_lb, Fraction(4))
+        assert bracket.lower == 4 and isinstance(bracket.lower, (int, Fraction))
 
     def test_float_times_keep_the_direct_sum(self):
         # On the lattice (D = 7) this float sum would end one ulp higher.

@@ -40,9 +40,10 @@ from repro.obs.flight import SPAN_KINDS
 from repro.renting import BoundedRepacker
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
 
-#: 2,000 sessions of the float probe migrate 2,618 times.  Exact and
-#: vector arithmetic make the repacker about six times slower per session,
-#: so those variants replay the first 500 sessions of the same stream.
+#: 2,000 sessions of the float probe migrate 2,618 times.  Repacked at that
+#: size, the exact and vector variants take about 6.2 and 6.8 times as long
+#: as the float one (BENCH_engine.json's ``repack`` rows), so they replay
+#: the first 500 sessions of the same stream.
 PROBE = dict(
     arrival_rate=5,
     duration=Clipped(Exponential(20), 2, 60),

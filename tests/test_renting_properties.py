@@ -14,7 +14,11 @@ Four families of guarantees:
 * **β = 0 transparency**: a zero-budget repacker is byte-invisible.
 * **Reference planner** (differential): the shipped evacuation search,
   which prunes sources that cannot move, makes every move the full
-  search makes, on scalar and 2-D traces.
+  search makes, on scalar and 2-D traces, in caller units and on the
+  integer lattice.
+* **Kept plans**: every evacuation plan the repacker keeps belongs to an
+  open bin of the running simulator and equals the plan computed afresh,
+  after every event of fresh, reused, interrupted and resumed runs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.core.simulator import simulate
 from repro.core.streaming import simulate_stream
 from repro.core.telemetry import SimulationObserver
 from repro.renting import BoundedRepacker, EqualDurationFit, Hybrid, MoveToFront
+from repro.renting.repack import _Plan
 from repro.renting.strategies import scalar_size
 from tests.conftest import build_items, exact_items
 from tests.ratio_harness import generate_general_regime
@@ -175,20 +180,58 @@ def test_no_double_billing_across_moves(items):
     assert report2.billed_cost == expected
 
 
+class _Crash(Exception):
+    """Stands for a process dying mid-run."""
+
+
+def _crash_at(events: int):
+    """An ``on_checkpoint`` sink that dies at the checkpoint after ``events``."""
+
+    def sink(checkpoint: StreamCheckpoint) -> None:
+        if checkpoint.events_processed >= events:
+            raise _Crash(events)
+
+    return sink
+
+
+class _AuditedRepacker(BoundedRepacker):
+    """A repacker that checks its kept plans after every event: each
+    belongs to an open bin of the running simulator and equals the plan
+    computed afresh from that bin.  Checkpoints ship after the hooks, so
+    this holds at every checkpoint."""
+
+    def after_arrival(self, sim, item, bin):
+        super().after_arrival(sim, item, bin)
+        self._audit(sim)
+
+    def after_departure(self, sim, item_id, bin):
+        super().after_departure(sim, item_id, bin)
+        self._audit(sim)
+
+    def _audit(self, sim):
+        open_bins = set(sim.open_bins)
+        for b, plan in self._plans.items():
+            assert b in open_bins, f"plan kept for bin {b.index}, which is not open"
+            assert plan == _Plan.of(b), f"bin {b.index} changed since its plan"
+
+
 @given(exact_items(max_items=18), st.integers(min_value=0, max_value=2))
 @settings(max_examples=25, deadline=None)
 def test_checkpoint_resume_mid_migration_is_byte_identical(items, which):
-    """Interrupt a migrating run at a checkpoint (JSON round-tripped),
-    resume with a fresh repacker of the same configuration: the final
-    summary and every post-resume checkpoint byte-equal the uninterrupted
-    run's."""
+    """Interrupt a migrating run at a checkpoint (JSON round-tripped) and
+    resume it twice: with a fresh repacker of the same configuration, and
+    with the repacker that ran an attempt which died at the next
+    checkpoint (the last one, if there is no next).  The final summary
+    and every post-resume checkpoint byte-equal the uninterrupted run's,
+    and the reused repacker keeps plans only of the resumed run's open
+    bins."""
     stream = _stream_order(items)
 
-    def run(**kwargs):
+    def run(repacker=None, **kwargs):
         return simulate_stream(
             iter(stream),
             FirstFit(),
-            repacker=BoundedRepacker(factor=1),
+            repacker=repacker or BoundedRepacker(factor=1),
             **kwargs,
         )
 
@@ -198,14 +241,19 @@ def test_checkpoint_resume_mid_migration_is_byte_identical(items, which):
         return  # trace too short to checkpoint; nothing to interrupt
     pick = min(which * (len(base_cps) // 2), len(base_cps) - 1)
     snap = StreamCheckpoint.from_json(base_cps[pick].to_json())
-    resumed_cps: list[StreamCheckpoint] = []
-    resumed = run(
-        checkpoint_every=4, on_checkpoint=resumed_cps.append, resume_from=snap
-    )
-    assert resumed == base == run()
-    assert [c.to_json() for c in resumed_cps] == [
-        c.to_json() for c in base_cps[pick + 1 :]
-    ]
+    attempt = _AuditedRepacker(factor=1)
+    dies_at = base_cps[min(pick + 1, len(base_cps) - 1)].events_processed
+    with pytest.raises(_Crash):
+        run(attempt, checkpoint_every=4, on_checkpoint=_crash_at(dies_at))
+    for repacker in (BoundedRepacker(factor=1), attempt):
+        resumed_cps: list[StreamCheckpoint] = []
+        resumed = run(
+            repacker, checkpoint_every=4, on_checkpoint=resumed_cps.append, resume_from=snap
+        )
+        assert resumed == base == run()
+        assert [c.to_json() for c in resumed_cps] == [
+            c.to_json() for c in base_cps[pick + 1 :]
+        ]
 
 
 @pytest.mark.parametrize("factor", [-1, Fraction(-1, 2), float("nan")])
@@ -375,14 +423,17 @@ EVACUATION_TRACES = [
 
 @pytest.mark.parametrize("items,capacity", EVACUATION_TRACES)
 def test_evacuation_search_matches_reference_planner(items, capacity):
-    """Pruned planning makes exactly the full search's moves: same
-    PackingResult, migration log and repacker counters, under FF and BF,
-    β ∈ {1/4, 1, 4}, with and without consolidation on departure."""
+    """Pruned planning from kept plans makes exactly the full search's
+    moves: same PackingResult, migration log and repacker counters, under
+    FF and BF, β ∈ {1/4, 1, 4}, with and without consolidation on
+    departure.  Without observers an exact trace runs on the integer
+    lattice; there the PackingResult and counters match too, and equal the
+    observed run's."""
     migrated = 0
     for algorithm in (FirstFit, BestFit):
         for factor in (Fraction(1, 4), 1, 4):
             for on_departure in (True, False):
-                runs = []
+                observed, unobserved = [], []
                 for make in (BoundedRepacker, _ReferenceRepacker):
                     repacker = make(factor, consolidate_on_departure=on_departure)
                     log = _MoveLog()
@@ -393,7 +444,60 @@ def test_evacuation_search_matches_reference_planner(items, capacity):
                         repacker=repacker,
                         observers=(log,),
                     )
-                    runs.append((result, log.moves, repacker.checkpoint_state()))
-                assert runs[0] == runs[1]
-                migrated += len(runs[0][1])
+                    observed.append((result, log.moves, repacker.checkpoint_state()))
+                    repacker = make(factor, consolidate_on_departure=on_departure)
+                    result = simulate(items, algorithm(), capacity=capacity, repacker=repacker)
+                    unobserved.append((result, repacker.checkpoint_state()))
+                assert observed[0] == observed[1]
+                assert unobserved[0] == unobserved[1]
+                assert unobserved[0] == (observed[0][0], observed[0][2])
+                migrated += len(observed[0][1])
     assert migrated > 0
+
+
+@pytest.mark.parametrize("items,capacity", EVACUATION_TRACES)
+def test_kept_plans_are_current_after_every_event(items, capacity):
+    """With and without consolidation on departure, after every event
+    (and so at every checkpoint) the repacker keeps plans only for open
+    bins, each equal to the plan computed afresh; none outlives the run."""
+    for on_departure in (True, False):
+        repacker = _AuditedRepacker(1, consolidate_on_departure=on_departure)
+        simulate_stream(
+            iter(_stream_order(items)), FirstFit(), capacity=capacity, repacker=repacker
+        )
+        assert repacker.bins_emptied > 0
+        assert not repacker._plans
+
+
+def test_one_repacker_reused_across_runs_matches_fresh_ones():
+    """A repacker reused run after run — record mode on and off the
+    lattice, streamed, and after a run that died with plans kept —
+    gives the results and counters a fresh repacker gives each time."""
+    traces = [param.values for param in EVACUATION_TRACES]
+    reused = _AuditedRepacker(1)
+    for items, capacity in traces:
+        fresh = BoundedRepacker(1)
+        expected = simulate(items, FirstFit(), capacity=capacity, repacker=fresh)
+        assert simulate(items, FirstFit(), capacity=capacity, repacker=reused) == expected
+        assert reused.checkpoint_state() == fresh.checkpoint_state()
+        assert not reused._plans  # every bin closed, so nothing to unscale
+
+        def die_holding_plans(checkpoint: StreamCheckpoint) -> None:
+            if reused._plans:
+                raise _Crash(checkpoint.events_processed)
+
+        stream = _stream_order(items)
+        with pytest.raises(_Crash):
+            simulate_stream(
+                iter(stream),
+                FirstFit(),
+                capacity=capacity,
+                repacker=reused,
+                checkpoint_every=1,
+                on_checkpoint=die_holding_plans,
+            )
+        fresh = BoundedRepacker(1)
+        expected = simulate_stream(iter(stream), FirstFit(), capacity=capacity, repacker=fresh)
+        got = simulate_stream(iter(stream), FirstFit(), capacity=capacity, repacker=reused)
+        assert got == expected
+        assert reused.checkpoint_state() == fresh.checkpoint_state()
