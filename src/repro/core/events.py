@@ -1,11 +1,13 @@
 """The event kernel: one loop orders and applies every engine event.
 
-Every driver runs the single generator :func:`_merge_events` —
-:func:`~repro.core.simulator.simulate`,
+Its callers are the online drivers, which all run the single generator
+:func:`_merge_events` — :func:`~repro.core.simulator.simulate`,
 :func:`~repro.core.streaming.simulate_stream` (plain, checkpointed and
 resumed), :func:`~repro.cloud.faults.simulate_faulty_stream` and the
-capped fleet of :mod:`repro.cloud.finite_fleet` — and so do the public
-:func:`iter_events` and :func:`compile_events`.  The kernel merges two
+capped fleet of :mod:`repro.cloud.finite_fleet` — and the public
+:func:`iter_events` and :func:`compile_events`.  Offline profiles and
+bounds of a finished trace (:mod:`repro.opt`) sort its events themselves
+by the same rule.  The kernel merges two
 things: the arrival-ordered item source, and one heap of pending engine
 events keyed ``(time, class, seq)``.  At one instant the classes run in
 :class:`EventKind` order:

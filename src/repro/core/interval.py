@@ -4,12 +4,16 @@ The paper's ``span`` of an item list (Figure 1) is the measure of the union
 of the items' active intervals.  This module implements closed-interval
 unions, intersections and measures exactly (no discretisation), working for
 ``int``, ``float`` and :class:`fractions.Fraction` endpoints alike.
+
+It also holds the one step function of a finished trace and its integral
+(:func:`_step_function`, :func:`_step_integral`), under every offline
+profile and bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 from .numeric import Num
 
 __all__ = [
@@ -121,3 +125,36 @@ def interval_difference(a: Interval, subtract: Sequence[Interval]) -> list[Inter
     if cursor < a.right:
         pieces.append(Interval(cursor, a.right))
     return [p for p in pieces if p.length > 0]
+
+
+def _step_function(spans: Iterable[tuple[Num, Num, Any]]) -> tuple[list[Num], list[Any]]:
+    """``(times, values)``: the step function ``Σ weight·1[start, end)``.
+
+    Each span's ``±weight`` accumulates per breakpoint in input order (a
+    breakpoint keeps the first of its equal times), then the sorted
+    breakpoints take a running total, so float weights never drift along
+    the sweep; the final value, after every span, is an exact ``0``.
+    """
+    deltas: dict[Num, Any] = {}
+    for start, end, weight in spans:
+        deltas[start] = deltas.get(start, 0) + weight
+        deltas[end] = deltas.get(end, 0) - weight
+    times = sorted(deltas)
+    values: list[Any] = []
+    running: Any = 0
+    for t in times:
+        running = running + deltas[t]
+        values.append(running)
+    if values:
+        values[-1] = 0
+    return times, values
+
+
+def _step_integral(times: Sequence[Num], values: Sequence[Any]) -> Any:
+    """``Σ values[i]·(times[i+1] − times[i])``, summed in time order from
+    the ``int`` 0, skipping zero steps."""
+    total: Any = 0
+    for value, start, end in zip(values, times, times[1:]):
+        if value:
+            total = total + value * (end - start)
+    return total

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from .numeric import Num
-from .interval import Interval
+from .interval import Interval, _step_function, union_length
 from .resources import Size
 from .item import Item
 
@@ -109,20 +109,11 @@ class PackingResult:
         on ``[opened_at, closed_at)`` so that the integral of the profile
         equals :attr:`total_bin_time` exactly.
         """
-        if "profile" in self._profile_cache:
-            return self._profile_cache["profile"]
-        deltas: dict[Num, int] = {}
-        for b in self.bins:
-            deltas[b.opened_at] = deltas.get(b.opened_at, 0) + 1
-            deltas[b.closed_at] = deltas.get(b.closed_at, 0) - 1
-        times = sorted(deltas)
-        counts: list[int] = []
-        running = 0
-        for t in times:
-            running += deltas[t]
-            counts.append(running)
-        self._profile_cache["profile"] = (times, counts)
-        return times, counts
+        if "profile" not in self._profile_cache:
+            self._profile_cache["profile"] = _step_function(
+                (b.opened_at, b.closed_at, 1) for b in self.bins
+            )
+        return self._profile_cache["profile"]
 
     def num_open_bins(self, t: Num) -> int:
         """``A(R,t)``: open-bin count at time ``t`` (right-continuous)."""
@@ -177,8 +168,6 @@ class PackingResult:
         of item intervals equals the usage period); level never exceeded
         capacity (replayed); span of R_i equals usage length.
         """
-        from .interval import union_length
-
         assert set(self.assignment) == {it.item_id for it in self.items}, (
             "assignment does not cover exactly the item set"
         )

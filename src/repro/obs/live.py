@@ -273,12 +273,18 @@ class LiveExportObserver(SimulationObserver):
     """Observer that republishes the registry and drives the heartbeat.
 
     Rides in ``extra_observers`` beside the session's deterministic
-    observers.  Every engine event bumps a local tally; each
+    observers, after the :class:`~repro.obs.observer.MetricsObserver` that
+    feeds ``registry``.  It keeps no tally of its own: each engine event it
+    reads that observer's ``dbp_events_processed_total``,
+    ``dbp_sessions_started_total`` and ``dbp_open_bins`` (looked up, never
+    created, so the registry's layout is that observer's alone; a registry
+    no such observer feeds raises ``KeyError`` at the first event).  Each
     ``publish_every``-th event re-renders the registry into the server
-    (producer-side, point-in-time).  Keeps no checkpointable state, so
-    resume semantics and all deterministic artifacts are unaffected.
-    Call :meth:`publish` after the run for the final, artifact-equal
-    snapshot.
+    (producer-side, point-in-time), and the heartbeat reports the run's
+    totals — a resumed run continues from its checkpoint's.  Keeps no
+    checkpointable state, so resume semantics and all deterministic
+    artifacts are unaffected.  Call :meth:`publish` after the run for the
+    final, artifact-equal snapshot.
     """
 
     def __init__(
@@ -295,53 +301,30 @@ class LiveExportObserver(SimulationObserver):
         self.server = server
         self.publish_every = publish_every
         self.heartbeat = heartbeat
-        self._events = 0
-        self._placed = 0
-        self._open_bins = 0
 
     # ------------------------------------------------------------------ hooks
 
     def on_arrival(self, time: Num, item: "Arrival", bin: "Bin", opened: bool) -> None:
-        self._placed += 1
-        if opened:
-            self._open_bins += 1
         self._tick()
 
     def on_departure(self, time: Num, item: "Arrival", bin: "Bin", closed: bool) -> None:
-        if closed:
-            self._open_bins -= 1
         self._tick()
 
     def on_server_failure(
         self, time: Num, bin: "Bin", evicted: Sequence["Arrival"]
     ) -> None:
-        self._open_bins -= 1
         self._tick()
 
-    def on_migration(
-        self,
-        time: Num,
-        item: "Arrival",
-        from_bin: "Bin",
-        to_bin: "Bin",
-        from_closed: bool,
-        to_opened: bool,
-    ) -> None:
-        # A move is not an engine event: keep the tally, skip the tick.
-        if to_opened:
-            self._open_bins += 1
-        if from_closed:
-            self._open_bins -= 1
-
     def _tick(self) -> None:
-        self._events += 1
-        if self.server is not None and self._events % self.publish_every == 0:
-            self.server.publish_registry(self.registry)
+        registry = self.registry
+        events = registry["dbp_events_processed_total"].value
+        if self.server is not None and events % self.publish_every == 0:
+            self.server.publish_registry(registry)
         if self.heartbeat is not None:
             self.heartbeat.beat(
-                events=self._events,
-                open_bins=self._open_bins,
-                placed=self._placed,
+                events=events,
+                open_bins=registry["dbp_open_bins"].value,
+                placed=registry["dbp_sessions_started_total"].value,
             )
 
     # ------------------------------------------------------------------ final
@@ -350,7 +333,3 @@ class LiveExportObserver(SimulationObserver):
         """Force-publish the current registry state (call at end of run)."""
         if self.server is not None:
             self.server.publish_registry(self.registry)
-
-    def publish_snapshot_json(self) -> str:
-        """The exact ``/snapshot.json`` body for the current state."""
-        return self.registry.to_json() + "\n"

@@ -4,6 +4,10 @@ The instantaneous load ``load(t) = Σ_{r active at t} s(r)`` drives every
 OPT lower bound: at time ``t`` any packing needs at least
 ``⌈load(t)/W⌉`` bins.  The profile is piecewise constant between event
 times, so integrals over it are exact sums.
+
+Both profiles are the one step function of :mod:`repro.core.interval`
+over the spans ``[a(r), d(r))``, weighted by size or by 1; it also builds
+:meth:`~repro.core.result.PackingResult.bin_count_profile`.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import numbers
 from typing import Iterable, Sequence
 
+from ..core.interval import _step_function
 from ..core.item import Item
 
 __all__ = ["load_profile", "active_profile", "max_load"]
@@ -37,36 +42,14 @@ def _load_steps(
     of the integer lattice (:mod:`repro.core.numeric`) to sum loads in
     ``int`` arithmetic.
     """
-    deltas: dict[numbers.Real, numbers.Real] = {}
-    for it, size in zip(items, sizes):
-        deltas[it.arrival] = deltas.get(it.arrival, 0) + size
-        deltas[it.departure] = deltas.get(it.departure, 0) - size
-    times = sorted(deltas)
-    loads: list[numbers.Real] = []
-    running: numbers.Real = 0
-    for t in times:
-        running = running + deltas[t]
-        loads.append(running)
-    if loads:
-        # The final segment is after the last departure; force exact zero to
-        # clear any float residue from the +/- cancellation.
-        loads[-1] = 0
-    return times, loads
+    return _step_function(
+        (it.arrival, it.departure, size) for it, size in zip(items, sizes)
+    )
 
 
 def active_profile(items: Iterable[Item]) -> tuple[list[numbers.Real], list[int]]:
     """Step function of the number of active items."""
-    deltas: dict[numbers.Real, int] = {}
-    for it in items:
-        deltas[it.arrival] = deltas.get(it.arrival, 0) + 1
-        deltas[it.departure] = deltas.get(it.departure, 0) - 1
-    times = sorted(deltas)
-    counts: list[int] = []
-    running = 0
-    for t in times:
-        running += deltas[t]
-        counts.append(running)
-    return times, counts
+    return _step_function((it.arrival, it.departure, 1) for it in items)
 
 
 def max_load(items: Iterable[Item]) -> numbers.Real:

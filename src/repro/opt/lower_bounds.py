@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, cast
 
+from ..core.interval import _step_integral
 from ..core.item import Item
 from ..core.metrics import total_demand, trace_span
 from ..core.numeric import lattice_scale, quotient, to_lattice
@@ -94,11 +95,7 @@ def pointwise_lower_bound(
     else:
         times, loads = load_profile(items)
         needed = [robust_ceil(load / capacity) for load in loads]
-    total: numbers.Real = 0
-    for i in range(len(times) - 1):
-        if needed[i]:
-            total = total + needed[i] * (times[i + 1] - times[i])
-    return cost_rate * total
+    return cost_rate * _step_integral(times, needed)
 
 
 def dominance_lower_bound(

@@ -12,6 +12,12 @@ module solves those snapshots:
 * sweep integrators turning per-snapshot counts into bounds on
   ``OPT_total = ∫ OPT(R,t)·C dt``.
 
+One sweep, ``_sweep``, sorts a finished trace's events itself (the
+online event kernel is not involved) and solves each snapshot.  It is
+behind :func:`snapshot_profile`, every FFD and L2 bound here and the
+classic-DBP L2 bound; the one step integral of
+:mod:`repro.core.interval` integrates its profiles.
+
 The solvers return bin counts, so an exact trace's sweep runs on the
 integer lattice of :mod:`repro.core.numeric` — every size and the capacity
 multiplied by the lcm ``D`` of their denominators — with nothing to map
@@ -24,7 +30,7 @@ import numbers
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, cast
 
-from ..core.events import EventKind, compile_events
+from ..core.interval import _step_integral
 from ..core.item import Item
 from ..core.numeric import lattice_scale, quotient, to_lattice
 from .lower_bounds import robust_ceil
@@ -237,46 +243,49 @@ def _sweep(
 ) -> tuple[list[numbers.Real], list[int]]:
     """``count`` the active sizes after the events at each event time.
 
+    The events are taken in ``(time, kind, trace position)`` order with
+    departures first, the online engine's same-instant rule (see
+    :class:`~repro.core.EventKind`), from the trace sorted by arrival and
+    by departure.  At each breakpoint, whose time is its first event's,
+    the departing items leave, the arriving ones join in (arrival, trace
+    position) order — the order the float sums of :func:`l2_lower_bound`
+    see — and ``count`` runs.
+
     An exact trace's sizes and capacity go on the integer lattice first
     (``count`` returns a bin count, which needs no mapping back).  A trace
     with an oversize item stays in the caller's units, where ``count``
     raises its size error.
     """
-    events = compile_events(items)
-    sizes: list[numbers.Real] = [
-        ev.item.size for ev in events if ev.kind is EventKind.ARRIVAL
-    ]
+    items = list(items)
+    sizes: list[numbers.Real] = [it.size for it in items]
     scale = lattice_scale(capacity, sizes)
     if scale is not None and scale > 1:
         lattice: list[numbers.Real] = [to_lattice(cast(int, s), scale) for s in sizes]
         lattice_capacity = to_lattice(cast(int, capacity), scale)
         if max(lattice, default=0) <= lattice_capacity:
             sizes, capacity = lattice, lattice_capacity
-    size_of_next_arrival = iter(sizes).__next__
+    n = len(items)
+    order = list(range(n))
+    arriving = sorted(order, key=lambda i: items[i].arrival)
+    leaving = sorted(order, key=lambda i: items[i].departure)
     active: dict[str, numbers.Real] = {}
     times: list[numbers.Real] = []
     counts: list[int] = []
-    i = 0
-    while i < len(events):
-        t = events[i].time
-        while i < len(events) and events[i].time == t:
-            ev = events[i]
-            if ev.kind is EventKind.ARRIVAL:
-                active[ev.item.item_id] = size_of_next_arrival()
-            else:
-                del active[ev.item.item_id]
-            i += 1
+    a = d = 0
+    while d < n:
+        t = items[leaving[d]].departure
+        if a < n and items[arriving[a]].arrival < t:
+            t = items[arriving[a]].arrival
+        while d < n and items[leaving[d]].departure == t:
+            del active[items[leaving[d]].item_id]
+            d += 1
+        while a < n and items[arriving[a]].arrival == t:
+            i = arriving[a]
+            active[items[i].item_id] = sizes[i]
+            a += 1
         times.append(t)
         counts.append(count(list(active.values()), capacity))
     return times, counts
-
-
-def _integrate(times: Sequence[numbers.Real], counts: Sequence[int]) -> numbers.Real:
-    total: numbers.Real = 0
-    for i in range(len(times) - 1):
-        if counts[i]:
-            total = total + counts[i] * (times[i + 1] - times[i])
-    return total
 
 
 def opt_total_ffd_upper_bound(
@@ -288,7 +297,7 @@ def opt_total_ffd_upper_bound(
     ``OPT_total``, closing the bracket opened by the lower bounds.
     """
     times, counts = snapshot_profile(items, capacity, method="ffd")
-    return cost_rate * _integrate(times, counts)
+    return cost_rate * _step_integral(times, counts)
 
 
 def opt_total_exact(
@@ -304,7 +313,7 @@ def opt_total_exact(
     :func:`opt_bracket <repro.opt.lower_bounds.opt_bracket>` otherwise.
     """
     times, counts = snapshot_profile(items, capacity, method="exact", node_limit=node_limit)
-    return cost_rate * _integrate(times, counts)
+    return cost_rate * _step_integral(times, counts)
 
 
 def opt_total_l2_lower_bound(
@@ -316,4 +325,4 @@ def opt_total_l2_lower_bound(
     big items coexist (items above W/2 cannot share bins), tightening the
     OPT bracket on large-item workloads.
     """
-    return cost_rate * _integrate(*_sweep(items, capacity, l2_lower_bound))
+    return cost_rate * _step_integral(*_sweep(items, capacity, l2_lower_bound))

@@ -39,9 +39,8 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from ..core.numeric import Num
 from ..core.bin import Bin, PackedItem
 from ..core.checkpoint import CheckpointError
-from ..core.resources import Size
+from ..core.resources import Size, scalarize_max
 from ..core.validation import CheckpointFormatError
-from .strategies import scalar_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.item import Item
@@ -52,7 +51,7 @@ __all__ = ["BoundedRepacker"]
 
 def _move_order(view: PackedItem) -> tuple[Num, str]:
     """An evacuation moves a bin's items largest first, ties by id."""
-    return (-scalar_size(view.size), view.item_id)
+    return (-scalarize_max(view.size), view.item_id)
 
 
 class _Plan(NamedTuple):
@@ -76,13 +75,13 @@ class _Plan(NamedTuple):
         contents = sorted(source.items(), key=_move_order)
         moved: Num = 0
         for view in contents:
-            moved = moved + scalar_size(view.size)
+            moved = moved + scalarize_max(view.size)
         residual = source.residual
         return cls(
             residual,
-            scalar_size(residual),
-            scalar_size(contents[0].size),
-            (scalar_size(source.level), -source.index),
+            scalarize_max(residual),
+            scalarize_max(contents[0].size),
+            (scalarize_max(source.level), -source.index),
             contents,
             moved,
         )
@@ -98,10 +97,10 @@ class BoundedRepacker:
         ``β·s`` of moved-size budget.  ``factor=0`` grants nothing, so no
         migration ever happens and a run is byte-identical to the same
         run without a repacker (asserted by the differential tests).
-    consolidate_on_departure:
-        Also look for evacuations after departures (the default).
-        Departures grant no budget, but they *free* capacity, which is
-        when consolidation opportunities typically appear.
+
+    Evacuations are sought after arrivals and after departures:
+    departures grant no budget, but they *free* capacity, which is when
+    consolidation opportunities typically appear.
 
     Implements the :class:`~repro.core.streaming.StreamRepacker`
     protocol.  A single evacuation moves all items of one source bin into
@@ -110,13 +109,10 @@ class BoundedRepacker:
     exactly (:meth:`~repro.core.simulator.Simulator.migrate`).
     """
 
-    def __init__(
-        self, factor: Num = 1, *, consolidate_on_departure: bool = True
-    ) -> None:
+    def __init__(self, factor: Num = 1) -> None:
         if not factor >= 0:  # also rejects NaN
             raise ValueError(f"migration factor must be >= 0, got {factor}")
         self.factor = factor
-        self.consolidate_on_departure = consolidate_on_departure
         self._budget: Num = 0
         self.migrations_done = 0
         self.size_moved: Num = 0
@@ -143,12 +139,12 @@ class BoundedRepacker:
             self._plans.pop(bin, None)
         if self.factor == 0:
             return
-        self._budget = self._budget + self.factor * scalar_size(item.size)
+        self._budget = self._budget + self.factor * scalarize_max(item.size)
         self._consolidate(sim)
 
     def after_departure(self, sim: "Simulator", item_id: str, bin: Bin) -> None:
         self._plans.pop(bin, None)
-        if self.factor == 0 or not self.consolidate_on_departure:
+        if self.factor == 0:
             return
         self._consolidate(sim)
 
@@ -295,7 +291,4 @@ class BoundedRepacker:
         return moves
 
     def __repr__(self) -> str:
-        return (
-            f"BoundedRepacker(factor={self.factor!r}, "
-            f"consolidate_on_departure={self.consolidate_on_departure!r})"
-        )
+        return f"BoundedRepacker(factor={self.factor!r})"

@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from ..core.numeric import Num
 from ..core.bin import Bin
-from ..core.resources import Resources, Size
+from ..core.resources import Size, scalarize_max
 from ..algorithms.base import (
     OPEN_NEW,
     Arrival,
@@ -25,18 +25,7 @@ from ..algorithms.base import (
     register_algorithm,
 )
 
-__all__ = ["EqualDurationFit", "Hybrid", "MoveToFront", "scalar_size"]
-
-
-def scalar_size(size: Size) -> Num:
-    """Collapse a size to one number for threshold/budget comparisons.
-
-    Scalars pass through exactly; vector sizes use their largest
-    component (the binding dimension under dominance).
-    """
-    if isinstance(size, Resources):
-        return max(size.values)
-    return size
+__all__ = ["EqualDurationFit", "Hybrid", "MoveToFront"]
 
 
 @register_algorithm("renting-hybrid")
@@ -67,12 +56,12 @@ class Hybrid(PackingAlgorithm):
         self._large_bins: set[int] = set()
 
     def reset(self, capacity: Size) -> None:
-        self._cutoff = self.threshold * scalar_size(capacity)
+        self._cutoff = self.threshold * scalarize_max(capacity)
         self._current_large = None
         self._large_bins = set()
 
     def _is_large(self, item: Arrival) -> bool:
-        return scalar_size(item.size) > self._cutoff
+        return scalarize_max(item.size) > self._cutoff
 
     def choose_bin(
         self, item: Arrival, open_bins: Sequence[Bin]

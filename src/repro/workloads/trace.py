@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 
 from ..core.item import Item, validate_items
 from ..core.metrics import TraceStats, trace_stats
+from ..core.resources import Resources
+from ..core.validation import InvalidItemTypeError
 
 __all__ = ["Trace"]
 
@@ -75,8 +77,17 @@ class Trace:
 
     # ----------------------------------------------------------------- (de)ser
 
+    def _check_scalar_sizes(self) -> None:
+        """Trace files store scalar sizes: name the first vector item."""
+        for it in self.items:
+            if isinstance(it.size, Resources):
+                expected = f"a scalar to be written to a trace file (item {it.item_id!r})"
+                raise InvalidItemTypeError("size", it.size, expected=expected, item_id=it.item_id)
+
     def to_json(self) -> str:
-        """Serialise (times/sizes as floats) to a JSON document."""
+        """Serialise (times/sizes as floats) to a JSON document; a vector
+        size raises :class:`~repro.core.validation.InvalidItemTypeError`."""
+        self._check_scalar_sizes()
         return json.dumps(
             {
                 "name": self.name,
@@ -110,7 +121,9 @@ class Trace:
         return cls.from_items(items, name=data.get("name", "trace"))
 
     def to_csv(self) -> str:
-        """``id,arrival,departure,size,tag`` rows with a header."""
+        """``id,arrival,departure,size,tag`` rows with a header; a vector
+        size raises :class:`~repro.core.validation.InvalidItemTypeError`."""
+        self._check_scalar_sizes()
         lines = ["id,arrival,departure,size,tag"]
         for it in self.items:
             tag = "" if it.tag is None else str(it.tag)

@@ -2,11 +2,12 @@
 
 Independently configured paths must agree exactly:
 
-* the lazy heap-merge event stream (:func:`iter_events`) vs the
-  materializing global sort (:func:`compile_events`);
-* every driver of the event kernel — ``simulate``, ``simulate_stream``
-  plain, checkpointed and resumed, and the zero-failure fault driver — vs
-  :func:`compile_events`' order, as seen by an observer; and
+* :func:`iter_events`, :func:`compile_events` (sorted and unsorted input)
+  and every driver of the event kernel — ``simulate``, ``simulate_stream``
+  plain, checkpointed and resumed, and the zero-failure fault driver, as
+  seen by an observer — vs the order ``core/events.py`` states, built here
+  without the kernel: the stable sort of each item's arrival and departure
+  by ``(time, kind, trace position)``; and
 * the O(log n) indexed fit paths vs the seed list scan, for every bundled
   algorithm, compared as whole :class:`PackingResult` values — also on a
   churn trace that opens >= 20x its peak of open bins, where the index
@@ -58,15 +59,39 @@ def tied_trace(seed, n=120):
     ]
 
 
+def sorted_events(items):
+    """The event order ``core/events.py`` states, without the kernel.
+
+    Each item contributes ``(time, kind, trace position, item_id)`` for its
+    arrival and its departure; the 2n events are stable-sorted by ``(time,
+    kind, trace position)``, so at one instant departures (kind 0) precede
+    arrivals (kind 3) and each kind keeps trace order.
+    """
+    events = [
+        (time, kind, position, it.item_id)
+        for position, it in enumerate(items)
+        for time, kind in (
+            (it.arrival, EventKind.ARRIVAL),
+            (it.departure, EventKind.DEPARTURE),
+        )
+    ]
+    return sorted(events, key=lambda event: event[:3])
+
+
+def _rows(events):
+    return [(e.time, e.kind, e.seq, e.item.item_id) for e in events]
+
+
 class TestEventStreamDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_iter_events_matches_compile_events(self, seed):
         items = tied_trace(seed)
-        streamed = list(iter_events(iter(items)))
-        compiled = compile_events(items)
-        assert [(e.time, e.kind, e.seq, e.item.item_id) for e in streamed] == [
-            (e.time, e.kind, e.seq, e.item.item_id) for e in compiled
-        ]
+        expected = sorted_events(items)
+        assert _rows(iter_events(iter(items))) == expected
+        assert _rows(compile_events(items)) == expected
+        # Unsorted input keeps each item's trace position as its tiebreak.
+        shuffled = items[::-1]
+        assert _rows(compile_events(shuffled)) == sorted_events(shuffled)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_departures_precede_arrivals_at_every_instant(self, seed):
@@ -156,11 +181,11 @@ TRACES = {name: (items, capacity) for name, items, capacity in _traces()}
 
 
 class TestKernelEventOrder:
-    """Every driver of the event kernel replays compile_events' order."""
+    """Every driver of the event kernel replays the stated event order."""
 
     @staticmethod
     def expected(items):
-        return [(e.time, e.kind, e.item.item_id) for e in compile_events(items)]
+        return [(time, kind, item_id) for time, kind, _, item_id in sorted_events(items)]
 
     @staticmethod
     def observed(run, items, capacity, **kw):

@@ -7,13 +7,16 @@ capacity multiplied by ``D``, the lcm of their denominators
 same event kernel without scaling: ``_merge_events`` driving a
 :class:`~repro.core.simulator.Simulator` on the caller's items, which is
 the path the adaptive adversaries take.  Every case compares results,
-their number types, and the repacker's counters with it.  The OPT
-bracket's demand and pointwise sums are compared with the same sums
-taken in the caller's units.
+their number types, and the repacker's counters with it.  The snapshot
+sweeps, which sort a trace themselves, are compared with the kernel's
+event grouping (``compile_events``) in the caller's units, also on
+float, tie-heavy and 2-D traces.  The OPT bracket's demand and pointwise
+sums are compared with the same sums taken in the caller's units.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from fractions import Fraction
 from typing import Any, Callable
@@ -52,6 +55,8 @@ from repro.opt.snapshot import (
     exact_bin_count,
     ffd_bin_count,
     l2_lower_bound,
+    opt_total_ffd_upper_bound,
+    opt_total_l2_lower_bound,
     snapshot_profile,
 )
 from repro.renting import BoundedRepacker, Hybrid
@@ -448,7 +453,69 @@ def integrate(times: list, counts: list) -> Any:
     return total
 
 
+def assert_same_profile(got: tuple[list, list], expected: tuple[list, list]) -> None:
+    """Equal breakpoints and counts, and each breakpoint of the same type."""
+    assert got == expected
+    assert [type(t) for t in got[0]] == [type(t) for t in expected[0]]
+
+
+def float_trace(seed: int) -> list[Item]:
+    """Float sizes on a quarter-unit time grid: many shared instants."""
+    rng = random.Random(seed)
+    items = []
+    for i in range(30):
+        arrival = rng.randint(0, 12) / 4
+        departure = arrival + rng.randint(1, 8) / 4
+        items.append(Item(arrival, departure, rng.uniform(0.05, 0.7), item_id=f"f{i}"))
+    return items
+
+
+def vector_trace(seed: int) -> list[Item]:
+    """2-D sizes on an integer time grid."""
+    rng = random.Random(seed)
+    items = []
+    for i in range(30):
+        arrival = rng.randint(0, 10)
+        size = Resources(rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.6))
+        items.append(Item(arrival, arrival + rng.randint(1, 5), size, item_id=f"v{i}"))
+    return items
+
+
+#: Same-instant events of mixed time types (an instant takes its first
+#: event's time, a departure when one is due) and an id that leaves and
+#: rejoins at one instant (departures leave before arrivals join).
+TIE_HEAVY = [
+    Item(0, 1.0, Fraction(1, 2), item_id="a"),
+    Item(Fraction(1), 3, Fraction(1, 3), item_id="b"),
+    Item(1, 2, Fraction(1, 2), item_id="c"),
+    Item(0, 2, Fraction(2, 3), item_id="x"),
+    Item(2, 4, Fraction(1, 4), item_id="x"),
+    Item(2, Fraction(5, 2), Fraction(5, 6), item_id="d"),
+    Item(0.5, 2.5, 0.25, item_id="e"),
+]
+
+SWEEP_TRACES = [
+    *(pytest.param(float_trace(seed), 1, id=f"float-{seed}") for seed in range(3)),
+    pytest.param(TIE_HEAVY, 1, id="tie-heavy"),
+    pytest.param(TIE_HEAVY, Fraction(3, 2), id="tie-heavy-3/2"),
+    *(pytest.param(vector_trace(seed), Resources(1, 1), id=f"2d-{seed}") for seed in range(2)),
+]
+
+
 class TestSnapshotSweeps:
+    @pytest.mark.parametrize("items,capacity", SWEEP_TRACES)
+    def test_sweeps_match_the_kernel_grouping(self, items, capacity):
+        times, counts = caller_unit_profile(items, capacity, ffd_bin_count)
+        assert_same_profile(snapshot_profile(items, capacity), (times, counts))
+        assert_same_number(
+            opt_total_ffd_upper_bound(items, capacity=capacity), integrate(times, counts)
+        )
+        if not isinstance(capacity, Resources):  # L2 is a scalar bound
+            l2_profile = caller_unit_profile(items, capacity, l2_lower_bound)
+            assert_same_number(
+                opt_total_l2_lower_bound(items, capacity=capacity), integrate(*l2_profile)
+            )
+
     @SETTINGS
     @given(trace=exact_traces())
     def test_ffd_profile_and_bracket_match_caller_units(self, trace):
@@ -577,6 +644,22 @@ class TestBoundSums:
         demand = demand_lower_bound(ints, capacity=10**10)
         assert_same_number(demand, Fraction(10**10 + 1, 10**10))
         assert bound >= demand  # the pointwise bound dominates (b.1)
+
+    def test_a_load_that_needs_no_bin_adds_nothing(self):
+        # Loads within float rounding of 0 need no bin (robust_ceil), so
+        # [1, 2) adds nothing: not even a float zero, which would turn the
+        # int total into a float.
+        items = make_items([(0, 1, 0.5), (1, 1.5, 1e-12), (1.5, 2, 1e-12), (2, 3, 0.5)])
+        assert_same_number(pointwise_lower_bound(items), pointwise_by_fractions(items, 1))
+        assert_same_number(pointwise_lower_bound(items), 2)
+
+    def test_a_breakpoint_the_load_passes_unchanged_is_kept(self):
+        # At 1/2 one session hands its load to another: the breakpoint stays,
+        # so the sum is taken over Fraction lengths and is a Fraction.
+        half = Fraction(1, 2)
+        items = make_items([(0, half, half), (half, 2, half), (0, 2, Fraction(1, 4))])
+        assert_same_number(pointwise_lower_bound(items), pointwise_by_fractions(items, 1))
+        assert_same_number(pointwise_lower_bound(items), Fraction(2))
 
     def test_all_int_demand_bound_is_exact(self):
         bracket = opt_bracket(make_items([(0, 2, 1), (0, 2, 1), (1, 3, 2)]), capacity=2)

@@ -30,12 +30,14 @@ from repro.core.streaming import simulate_stream
 from repro.obs import (
     FlightObserver,
     FlightRecorder,
+    Heartbeat,
     LifecycleTracer,
     LiveExportObserver,
     MetricsObserver,
     ObservationSession,
     verify_trace,
 )
+from repro.obs.clock import ManualClock
 from repro.obs.flight import SPAN_KINDS
 from repro.renting import BoundedRepacker
 from repro.workloads import Clipped, Exponential, Uniform, stream_trace
@@ -170,19 +172,25 @@ class TestMigrationOpensBins:
     out of a one-item bin closes one and opens another at once."""
 
     def _observed(self):
+        """The simulator, its trace sink, tracer and metrics, and the lines a
+        live heartbeat writes after every event but the first."""
         sink = io.StringIO()
         tracer = LifecycleTracer(sink, algorithm="first-fit")
         metrics = MetricsObserver()
-        live = LiveExportObserver(metrics.registry)
+        beats = io.StringIO()
+        live = LiveExportObserver(
+            metrics.registry,
+            heartbeat=Heartbeat(beats, clock=ManualClock(tick=1.0), interval=0),
+        )
         sim = Simulator(FirstFit(), record=False, observers=[metrics, tracer, live])
-        return sim, sink, tracer, metrics, live
+        return sim, sink, tracer, metrics, beats
 
     def test_move_into_a_new_bin(self):
-        sim, sink, tracer, metrics, live = self._observed()
+        sim, sink, tracer, metrics, beats = self._observed()
         sim.arrive(0, 0.5, item_id="a")
         sim.arrive(0, 0.4, item_id="b")
         sim.migrate("b", OPEN_NEW, time=1)
-        assert live._open_bins == sim.num_open_bins == 2
+        assert metrics.registry["dbp_open_bins"].value == sim.num_open_bins == 2
         sim.depart("a", 2)
         sim.depart("b", 3)
         summary = sim.finish_summary()
@@ -192,17 +200,25 @@ class TestMigrationOpensBins:
         assert kinds[kinds.index("migrate") + 1] == "open"
         reg = metrics.registry
         assert reg["dbp_bins_opened_total"].value == reg["dbp_bins_closed_total"].value == 2
-        assert reg["dbp_open_bins"].value == live._open_bins == 0
+        assert reg["dbp_open_bins"].value == 0
         assert reg["dbp_bin_lifetime"].sum == summary.total_bin_time == 2 + 2
         # bin 0 held 0.9 for [0, 1) and 0.5 for [1, 2); bin 1 held 0.4 throughout.
         assert reg["dbp_bin_utilization_at_close"].sum == pytest.approx(0.7 + 0.4)
+        # The live heartbeat reads the registry, so it counts the bin the
+        # move opened: one bin is still open after "a" leaves.
+        assert beats.getvalue().splitlines() == [
+            "live: events=2 open_bins=1 placed=2",
+            "live: events=3 open_bins=1 placed=2",
+            "live: events=4 open_bins=0 placed=2",
+        ]
 
     def test_emptying_move_closes_before_it_opens(self):
-        sim, sink, tracer, metrics, live = self._observed()
+        sim, sink, tracer, metrics, beats = self._observed()
         sim.arrive(0, 0.5, item_id="a")
         sim.migrate("a", OPEN_NEW, time=1)
-        assert live._open_bins == sim.num_open_bins == 1
+        assert metrics.registry["dbp_open_bins"].value == sim.num_open_bins == 1
         sim.depart("a", 2)
+        assert beats.getvalue() == "live: events=2 open_bins=0 placed=1\n"
         summary = sim.finish_summary()
         tracer.finish(summary)
         assert summary.peak_open_bins == 1

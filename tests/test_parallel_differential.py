@@ -6,9 +6,9 @@ for **every registered experiment**, running the catalogue sharded across
 the counters ``run --serve-metrics`` serves exactly equal to the serial
 run; the same holds for ``run_sweep`` over a seeded grid.  The serial run
 is also where every claim is checked at the experiments' default
-parameters, and it is what ``docs/REPORT.md`` prints.  CI re-runs this
-module as the ``parallel-smoke`` job and byte-diffs a seeded artifact on
-disk.
+parameters, and it is what ``docs/REPORT.md`` prints.  CI runs this
+module in the tier-1 job; its ``parallel-smoke`` job byte-diffs a seeded
+artifact on disk.
 """
 
 from __future__ import annotations

@@ -36,13 +36,12 @@ from repro.algorithms import BestFit, FirstFit, NextFit, get_algorithm
 from repro.cloud.dispatcher import ServerType, dispatch_stream
 from repro.core.checkpoint import StreamCheckpoint
 from repro.core.item import Item
-from repro.core.resources import Resources
+from repro.core.resources import Resources, scalarize_max
 from repro.core.simulator import simulate
 from repro.core.streaming import simulate_stream
 from repro.core.telemetry import SimulationObserver
 from repro.renting import BoundedRepacker, EqualDurationFit, Hybrid, MoveToFront
 from repro.renting.repack import _Plan
-from repro.renting.strategies import scalar_size
 from tests.conftest import build_items, exact_items
 from tests.ratio_harness import generate_general_regime
 
@@ -333,14 +332,14 @@ class _ReferenceRepacker(BoundedRepacker):
         if len(bins) < 2:
             return None
         for source in sorted(
-            bins, key=lambda b: (scalar_size(b.level), -b.index)
+            bins, key=lambda b: (scalarize_max(b.level), -b.index)
         ):
             contents = sorted(
-                source.items(), key=lambda v: (-scalar_size(v.size), v.item_id)
+                source.items(), key=lambda v: (-scalarize_max(v.size), v.item_id)
             )
             moved = 0
             for view in contents:
-                moved = moved + scalar_size(view.size)
+                moved = moved + scalarize_max(view.size)
             if moved > self._budget:
                 continue
             others = [b for b in bins if b is not source]
@@ -425,48 +424,45 @@ EVACUATION_TRACES = [
 def test_evacuation_search_matches_reference_planner(items, capacity):
     """Pruned planning from kept plans makes exactly the full search's
     moves: same PackingResult, migration log and repacker counters, under
-    FF and BF, β ∈ {1/4, 1, 4}, with and without consolidation on
-    departure.  Without observers an exact trace runs on the integer
-    lattice; there the PackingResult and counters match too, and equal the
-    observed run's."""
+    FF and BF and β ∈ {1/4, 1, 4}.  Without observers an exact trace runs
+    on the integer lattice; there the PackingResult and counters match
+    too, and equal the observed run's."""
     migrated = 0
     for algorithm in (FirstFit, BestFit):
         for factor in (Fraction(1, 4), 1, 4):
-            for on_departure in (True, False):
-                observed, unobserved = [], []
-                for make in (BoundedRepacker, _ReferenceRepacker):
-                    repacker = make(factor, consolidate_on_departure=on_departure)
-                    log = _MoveLog()
-                    result = simulate(
-                        items,
-                        algorithm(),
-                        capacity=capacity,
-                        repacker=repacker,
-                        observers=(log,),
-                    )
-                    observed.append((result, log.moves, repacker.checkpoint_state()))
-                    repacker = make(factor, consolidate_on_departure=on_departure)
-                    result = simulate(items, algorithm(), capacity=capacity, repacker=repacker)
-                    unobserved.append((result, repacker.checkpoint_state()))
-                assert observed[0] == observed[1]
-                assert unobserved[0] == unobserved[1]
-                assert unobserved[0] == (observed[0][0], observed[0][2])
-                migrated += len(observed[0][1])
+            observed, unobserved = [], []
+            for make in (BoundedRepacker, _ReferenceRepacker):
+                repacker = make(factor)
+                log = _MoveLog()
+                result = simulate(
+                    items,
+                    algorithm(),
+                    capacity=capacity,
+                    repacker=repacker,
+                    observers=(log,),
+                )
+                observed.append((result, log.moves, repacker.checkpoint_state()))
+                repacker = make(factor)
+                result = simulate(items, algorithm(), capacity=capacity, repacker=repacker)
+                unobserved.append((result, repacker.checkpoint_state()))
+            assert observed[0] == observed[1]
+            assert unobserved[0] == unobserved[1]
+            assert unobserved[0] == (observed[0][0], observed[0][2])
+            migrated += len(observed[0][1])
     assert migrated > 0
 
 
 @pytest.mark.parametrize("items,capacity", EVACUATION_TRACES)
 def test_kept_plans_are_current_after_every_event(items, capacity):
-    """With and without consolidation on departure, after every event
-    (and so at every checkpoint) the repacker keeps plans only for open
-    bins, each equal to the plan computed afresh; none outlives the run."""
-    for on_departure in (True, False):
-        repacker = _AuditedRepacker(1, consolidate_on_departure=on_departure)
-        simulate_stream(
-            iter(_stream_order(items)), FirstFit(), capacity=capacity, repacker=repacker
-        )
-        assert repacker.bins_emptied > 0
-        assert not repacker._plans
+    """After every event (and so at every checkpoint) the repacker keeps
+    plans only for open bins, each equal to the plan computed afresh;
+    none outlives the run."""
+    repacker = _AuditedRepacker(1)
+    simulate_stream(
+        iter(_stream_order(items)), FirstFit(), capacity=capacity, repacker=repacker
+    )
+    assert repacker.bins_emptied > 0
+    assert not repacker._plans
 
 
 def test_one_repacker_reused_across_runs_matches_fresh_ones():

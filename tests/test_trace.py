@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Item
+from repro.core.resources import Resources
+from repro.core.validation import InvalidItemTypeError
 from repro.workloads import Trace
 
 
@@ -79,6 +81,21 @@ class TestSerialisation:
         ]
         assert back[0].tag == "skyrim"
         assert back[1].tag is None
+
+    @pytest.mark.parametrize("writer", ["to_json", "to_csv"])
+    def test_vector_sizes_raise_a_typed_error_naming_the_item(self, writer):
+        # Trace files store scalar sizes; a 2-D trace is refused before any
+        # text is built, not with a bare TypeError from float().
+        tr = Trace.from_items(
+            [
+                Item(arrival=0, departure=2, size=Resources(0.5, 0.25), item_id="v0"),
+                Item(arrival=1, departure=3, size=Resources(0.1, 0.2), item_id="v1"),
+            ]
+        )
+        with pytest.raises(InvalidItemTypeError, match=r"trace file \(item 'v0'\)") as err:
+            getattr(tr, writer)()
+        assert err.value.item_id == "v0"
+        assert err.value.field == "size"
 
     def test_csv_header_required(self):
         with pytest.raises(ValueError, match="header"):
