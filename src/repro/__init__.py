@@ -51,7 +51,6 @@ from .core import (
     simulate,
     simulate_stream,
     size_fits,
-    span,
     total_demand,
     trace_span,
     trace_stats,
@@ -90,7 +89,6 @@ __all__ = [
     "Resources",
     "size_fits",
     "Interval",
-    "span",
     "Bin",
     "BinRecord",
     "BinConfiguration",

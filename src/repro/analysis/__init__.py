@@ -8,7 +8,6 @@ from .bounds import (
     mff_bound_unknown_mu,
     mff_generic_bound,
     mff_optimal_k,
-    theorem1_lower_bound_ratio,
     theorem3_bound,
     theorem4_bound,
     theorem5_bound,
@@ -42,7 +41,6 @@ from .viz import render_load_sparkline, render_packing_timeline
 from .waste import BinWaste, WasteReport, waste_report
 
 __all__ = [
-    "theorem1_lower_bound_ratio",
     "theorem3_bound",
     "theorem4_bound",
     "theorem5_bound",

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "theorem1_lower_bound_ratio",
     "theorem3_bound",
     "theorem4_bound",
     "theorem5_bound",
@@ -23,11 +22,6 @@ __all__ = [
     "BoundCheck",
     "check_bound",
 ]
-
-
-def theorem1_lower_bound_ratio(k: int, mu: numbers.Real) -> Fraction:
-    """Theorem 1's achieved ratio ``kμ/(k+μ−1)`` (→ μ as k → ∞)."""
-    return (Fraction(k) * Fraction(mu)) / (Fraction(k) + Fraction(mu) - 1)
 
 
 def theorem3_bound(k: numbers.Real) -> numbers.Real:

@@ -227,6 +227,14 @@ def _require_positive(**options: float | None) -> None:
             raise _InputError(f"--{name} must be positive, got {value}")
 
 
+def _require_at_least(minimum: int, **options: int) -> None:
+    """Reject an integer option below ``minimum``."""
+    for name, value in options.items():
+        if value < minimum:
+            option = name.replace("_", "-")
+            raise _InputError(f"--{option} must be at least {minimum}, got {value}")
+
+
 def _require_fits(trace, capacity: float) -> None:
     """Reject a trace with an item that no bin of ``capacity`` holds."""
     from .core.item import validate_items
@@ -264,6 +272,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         generate_trace,
     )
 
+    _require_positive(horizon=args.horizon, rate=args.rate)
     if args.kind == "gaming":
         trace = generate_gaming_trace(seed=args.seed, horizon=args.horizon)
     elif args.kind == "poisson":
@@ -526,6 +535,8 @@ def _cmd_viz(args: argparse.Namespace) -> int:
 
     _require_known("algorithm", [args.algorithm], available_algorithms())
     _require_positive(capacity=args.capacity)
+    _require_at_least(4, width=args.width)  # the renderers' narrowest row
+    _require_at_least(0, max_bins=args.max_bins)
     trace = _load_trace(args.trace)
     _require_fits(trace, args.capacity)
     result = simulate(trace.items, get_algorithm(args.algorithm), capacity=args.capacity)
@@ -567,6 +578,7 @@ def _count_experiment(registry: "MetricsRegistry", result: "ExperimentResult") -
 def _cmd_run(args: argparse.Namespace) -> int:
     names = available_experiments() if args.experiment == "all" else [args.experiment]
     _require_known("experiment", names, available_experiments())
+    _require_at_least(0, precision=args.precision)
     ok = True
     collected: list = []
     if (args.workers > 1 and len(names) > 1) or args.serve_metrics is not None:
@@ -618,6 +630,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import generate_report
 
     _require_known("experiment", args.experiments, available_experiments())
+    _require_at_least(0, precision=args.precision)
     markdown, ok = generate_report(args.experiments or None, precision=args.precision)
     if args.out is not None:
         args.out.write_text(markdown)
@@ -630,6 +643,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .resilience import ChaosCampaignConfig, run_campaign
 
+    _require_at_least(1, items=args.items)
     config = ChaosCampaignConfig(
         seed=args.seed,
         n_items=args.items,

@@ -7,9 +7,10 @@ size 1/2 and four items of size 1/10.
 
 This module makes the notation executable: configurations can be built,
 parsed from strings, expanded into concrete :class:`~repro.core.item.Item`
-sizes, and compared against live bins.  The adversarial constructions use it
-to assert that a packing reached exactly the bin states drawn in Figures 2
-and 3 of the paper.
+sizes, and compared with a live bin's
+:meth:`~repro.core.bin.Bin.configuration` (:meth:`BinConfiguration.matches`).
+The adversaries of :mod:`repro.adversaries` do not use it: they check the
+bin levels of Figures 2 and 3 with exact arithmetic.
 """
 
 from __future__ import annotations

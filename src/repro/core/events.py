@@ -5,12 +5,11 @@ Its callers are the online drivers, which all run the single generator
 :func:`~repro.core.streaming.simulate_stream` (plain, checkpointed and
 resumed), :func:`~repro.cloud.faults.simulate_faulty_stream` and the
 capped fleet of :mod:`repro.cloud.finite_fleet` — and the public
-:func:`iter_events` and :func:`compile_events`.  Offline profiles and
-bounds of a finished trace (:mod:`repro.opt`) sort its events themselves
-by the same rule.  The kernel merges two
-things: the arrival-ordered item source, and one heap of pending engine
-events keyed ``(time, class, seq)``.  At one instant the classes run in
-:class:`EventKind` order:
+:func:`iter_events`.  Offline profiles and bounds of a finished trace
+(:mod:`repro.opt`) sort its events themselves by the same rule.  The
+kernel merges two things: the arrival-ordered item source, and one heap
+of pending engine events keyed ``(time, class, seq)``.  At one instant
+the classes run in :class:`EventKind` order:
 
 1. **departures**, in ``seq`` order (an item's trace position);
 2. **server failures** — a session departing exactly when its server dies
@@ -69,8 +68,6 @@ __all__ = [
     "EventOrderError",
     "check_fits",
     "iter_events",
-    "compile_events",
-    "event_times",
 ]
 
 
@@ -165,7 +162,7 @@ def _out_of_order(item: Item, last_arrival: Num) -> EventOrderError:
         f"item {item.item_id!r} arrives at {item.arrival}, before "
         f"the previous arrival at {last_arrival}; streamed items "
         "must have non-decreasing arrival times — sort the trace "
-        "first (compile_events and simulate accept any order)",
+        "first (simulate accepts any order)",
         item_id=item.item_id,
     )
 
@@ -291,8 +288,9 @@ def _merge_events(
 def _by_arrival(trace: Sequence[Item]) -> tuple[Iterator[Item], Iterator[int]]:
     """A trace stable-sorted by arrival, and each item's trace position.
 
-    The positions are the departure tiebreaks the kernel draws, so an
-    unsorted trace replays exactly as :func:`compile_events` orders it.
+    The positions are the departure tiebreaks the kernel draws, so
+    :func:`~repro.core.simulator.simulate` replays an unsorted trace in
+    ``(time, kind, trace position)`` order, as it would the sorted trace.
     """
     order = sorted(range(len(trace)), key=lambda i: trace[i].arrival)
     return map(trace.__getitem__, order), iter(order)
@@ -305,35 +303,10 @@ def iter_events(items: Iterable[Item]) -> Iterator[Event]:
     times are non-decreasing, and yields :class:`Event` objects in
     ``(time, kind, trace order)`` order with DEPARTURE < ARRIVAL, holding
     only the active items' departures in a heap (O(active) memory).  Raises
-    :class:`EventOrderError` on an out-of-order arrival; unsorted traces
-    must go through :func:`compile_events` instead.
+    :class:`EventOrderError` on an out-of-order arrival; sort an unsorted
+    trace first.
     """
     return (
         Event(time=time, kind=_KINDS[cls], item=payload, seq=seq)
         for time, cls, seq, payload in _merge_events(items)
     )
-
-
-def compile_events(items: Iterable[Item]) -> list[Event]:
-    """Compile items into the sorted event sequence.
-
-    Each item contributes one ARRIVAL at ``a(r)`` and one DEPARTURE at
-    ``d(r)``.  The result is sorted by ``(time, kind, trace order)`` with
-    DEPARTURE < ARRIVAL, so simultaneous departures are processed before
-    simultaneous arrivals.
-
-    Items may come in any order: they are stable-sorted by arrival and fed
-    to the event kernel with their original trace positions as
-    tiebreakers.  Code that can guarantee sorted arrivals should prefer
-    :func:`iter_events`.
-    """
-    return [
-        Event(time=time, kind=_KINDS[cls], item=payload, seq=seq)
-        for time, cls, seq, payload in _merge_events(*_by_arrival(list(items)))
-    ]
-
-
-def event_times(items: Iterable[Item]) -> list[Num]:
-    """Sorted, de-duplicated list of all event times of a trace."""
-    times = {it.arrival for it in items} | {it.departure for it in items}
-    return sorted(times)

@@ -1,9 +1,11 @@
 """Interval arithmetic used throughout the reproduction.
 
 The paper's ``span`` of an item list (Figure 1) is the measure of the union
-of the items' active intervals.  This module implements closed-interval
-unions, intersections and measures exactly (no discretisation), working for
-``int``, ``float`` and :class:`fractions.Fraction` endpoints alike.
+of the items' active intervals
+(:func:`~repro.core.metrics.trace_span`, through :func:`union_length`).
+This module implements closed-interval unions, intersections and measures
+exactly (no discretisation), working for ``int``, ``float`` and
+:class:`fractions.Fraction` endpoints alike.
 
 It also holds the one step function of a finished trace and its integral
 (:func:`_step_function`, :func:`_step_integral`), under every offline
@@ -20,8 +22,6 @@ __all__ = [
     "Interval",
     "merge_intervals",
     "union_length",
-    "span",
-    "intervals_overlap",
     "interval_difference",
 ]
 
@@ -61,11 +61,6 @@ class Interval:
         return Interval(lo, hi)
 
 
-def intervals_overlap(a: Interval, b: Interval) -> bool:
-    """Module-level alias of :meth:`Interval.overlaps`."""
-    return a.overlaps(b)
-
-
 def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     """Merge intervals into a minimal sorted list of disjoint intervals.
 
@@ -93,22 +88,11 @@ def union_length(intervals: Iterable[Interval]) -> Num:
     return total
 
 
-def span(intervals: Iterable[tuple[Num, Num]] | Iterable[Interval]) -> Num:
-    """The paper's ``span``: length of time at least one interval is active.
-
-    Accepts either :class:`Interval` objects or ``(left, right)`` pairs,
-    e.g. ``span(item.interval for item in items)``.
-    """
-    ivs = [iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals]
-    return union_length(ivs)
-
-
 def interval_difference(a: Interval, subtract: Sequence[Interval]) -> list[Interval]:
     """The parts of ``a`` not covered by any interval in ``subtract``.
 
-    Used to compute the ``I_i^R`` residual periods of the Theorem 4/5 proof
-    decomposition.  Returns a sorted list of disjoint (possibly degenerate,
-    zero-length pieces are dropped) intervals.
+    Returns a sorted list of disjoint intervals; zero-length pieces are
+    dropped.
     """
     pieces: list[Interval] = []
     cursor = a.left

@@ -201,3 +201,14 @@ def validate_items(
         if capacity is not None:
             check_fits(item, capacity)
     return out
+
+
+def _check_scalar_sizes(items: Iterable[Item], purpose: str) -> None:
+    """Raise :class:`~repro.core.validation.InvalidItemTypeError` naming
+    the first item with a vector size; ``purpose`` says what needs a scalar."""
+    for item in items:
+        if isinstance(item.size, Resources):
+            expected = f"a scalar {purpose} (item {item.item_id!r})"
+            raise InvalidItemTypeError(
+                "size", item.size, expected=expected, item_id=item.item_id
+            )

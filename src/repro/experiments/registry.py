@@ -132,10 +132,6 @@ def run_experiments(
     names: Sequence[str] | None = None,
     *,
     parallel: int | None = None,
-    timeout: float | None = None,
-    retries: int = 1,
-    chunk_size: int | None = None,
-    metrics: Any = None,
     on_progress: Callable[[int, int, int], None] | None = None,
     on_result: Callable[[int, ExperimentResult], None] | None = None,
 ) -> list[ExperimentResult]:
@@ -169,10 +165,6 @@ def run_experiments(
             _run_experiment_task,
             batch,
             workers=parallel,
-            timeout=timeout,
-            retries=retries,
-            chunk_size=chunk_size,
-            metrics=metrics,
             on_progress=on_progress,
             on_result=on_result,
         )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, cast
 
 from ..core.interval import _step_integral
-from ..core.item import Item
+from ..core.item import Item, _check_scalar_sizes
 from ..core.metrics import total_demand, trace_span
 from ..core.numeric import lattice_scale, quotient, to_lattice
 from ..core.resources import Resources, Size
@@ -43,6 +43,9 @@ __all__ = [
 #: Relative tolerance used when ceiling float ratios; a load within this
 #: relative distance below an integer is treated as exactly that integer.
 CEIL_REL_TOL = 1e-9
+
+#: What a scalar-only bound tells a caller who passes a vector size.
+_SCALAR_BOUND = "for this bound, or use dominance_lower_bound"
 
 
 def robust_ceil(x: numbers.Real) -> int:
@@ -84,6 +87,10 @@ def pointwise_lower_bound(
     each ceiling by ``int`` floor division, ``⌈load·D / W·D⌉`` (``D = 1``
     when every value is an ``int``); the times, and so the result's type,
     are the caller's.
+
+    A vector size raises
+    :class:`~repro.core.validation.InvalidItemTypeError`, naming the item;
+    :func:`dominance_lower_bound` bounds a vector trace.
     """
     items = list(items)
     scale = lattice_scale(capacity, [it.size for it in items])
@@ -92,7 +99,8 @@ def pointwise_lower_bound(
         times, loads = _load_steps(items, sizes)
         per_bin = to_lattice(cast(int, capacity), scale)
         needed = [-(-load // per_bin) for load in loads]
-    else:
+    else:  # only here can a size be a vector
+        _check_scalar_sizes(items, _SCALAR_BOUND)
         times, loads = load_profile(items)
         needed = [robust_ceil(load / capacity) for load in loads]
     return cost_rate * _step_integral(times, needed)
@@ -199,14 +207,17 @@ def opt_bracket(
 
     ``include_l2`` adds the Martello-Toth L2 sweep to the lower side —
     strictly stronger when items above W/2 coexist, but quadratic in the
-    concurrent-item count per event, so it is opt-in.
+    concurrent-item count per event, so it is opt-in.  A vector trace
+    raises :class:`~repro.core.validation.InvalidItemTypeError` (from
+    :func:`pointwise_lower_bound`, which runs first).
     """
     from .snapshot import opt_total_ffd_upper_bound, opt_total_l2_lower_bound
 
+    pointwise_lb = pointwise_lower_bound(items, capacity=capacity, cost_rate=cost_rate)
     return OptBracket(
         demand_lb=demand_lower_bound(items, capacity=capacity, cost_rate=cost_rate),
         span_lb=span_lower_bound(items, cost_rate=cost_rate),
-        pointwise_lb=pointwise_lower_bound(items, capacity=capacity, cost_rate=cost_rate),
+        pointwise_lb=pointwise_lb,
         ffd_ub=opt_total_ffd_upper_bound(items, capacity=capacity, cost_rate=cost_rate),
         l2_lb=(
             opt_total_l2_lower_bound(items, capacity=capacity, cost_rate=cost_rate)

@@ -31,9 +31,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, cast
 
 from ..core.interval import _step_integral
-from ..core.item import Item
+from ..core.item import Item, _check_scalar_sizes
 from ..core.numeric import lattice_scale, quotient, to_lattice
-from .lower_bounds import robust_ceil
+from ..core.validation import DuplicateItemIdError
+from .lower_bounds import _SCALAR_BOUND, robust_ceil
 
 __all__ = [
     "ffd_bin_count",
@@ -249,7 +250,9 @@ def _sweep(
     by departure.  At each breakpoint, whose time is its first event's,
     the departing items leave, the arriving ones join in (arrival, trace
     position) order — the order the float sums of :func:`l2_lower_bound`
-    see — and ``count`` runs.
+    see — and ``count`` runs.  An item arriving while another with its id
+    is active raises :class:`~repro.core.validation.DuplicateItemIdError`;
+    an id may rejoin once its item has left.
 
     An exact trace's sizes and capacity go on the integer lattice first
     (``count`` returns a bin count, which needs no mapping back).  A trace
@@ -281,7 +284,10 @@ def _sweep(
             d += 1
         while a < n and items[arriving[a]].arrival == t:
             i = arriving[a]
-            active[items[i].item_id] = sizes[i]
+            item_id = items[i].item_id
+            if item_id in active:
+                raise DuplicateItemIdError(item_id)
+            active[item_id] = sizes[i]
             a += 1
         times.append(t)
         counts.append(count(list(active.values()), capacity))
@@ -323,6 +329,9 @@ def opt_total_l2_lower_bound(
 
     The L2 sweep dominates the pointwise ``⌈load/W⌉`` integral whenever
     big items coexist (items above W/2 cannot share bins), tightening the
-    OPT bracket on large-item workloads.
+    OPT bracket on large-item workloads.  A vector size raises
+    :class:`~repro.core.validation.InvalidItemTypeError`, naming the item.
     """
+    items = list(items)
+    _check_scalar_sizes(items, _SCALAR_BOUND)
     return cost_rate * _step_integral(*_sweep(items, capacity, l2_lower_bound))

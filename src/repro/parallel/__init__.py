@@ -7,10 +7,12 @@ a parallel run is byte-identical to the serial run at any worker count.
 
 The contract rests on three rules:
 
-1. **Seeds come from keys, not schedules.**  Per-point seeds are derived
-   from a root seed plus the point's canonical key
-   (:func:`~repro.parallel.seeding.derive_seed`), never from worker ids or
-   completion order.
+1. **Seeds are grid parameters, not schedules.**  A point's seed is one
+   of its parameters (a ``seed`` axis, as in the ``migration-frontier``
+   experiment), never a worker id or a completion count; to derive one
+   per point, compute :func:`~repro.parallel.seeding.derive_seed` of a
+   root seed and the point's :func:`~repro.parallel.seeding.point_key`
+   into that axis before the run.
 2. **Merges are slotted, not appended.**  Results land in their task-index
    slot (:func:`~repro.parallel.pool.run_tasks`), so shard completion
    order is unobservable.

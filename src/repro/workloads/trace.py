@@ -12,10 +12,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from ..core.item import Item, validate_items
+from ..core.item import Item, _check_scalar_sizes, validate_items
 from ..core.metrics import TraceStats, trace_stats
-from ..core.resources import Resources
-from ..core.validation import InvalidItemTypeError
 
 __all__ = ["Trace"]
 
@@ -77,17 +75,10 @@ class Trace:
 
     # ----------------------------------------------------------------- (de)ser
 
-    def _check_scalar_sizes(self) -> None:
-        """Trace files store scalar sizes: name the first vector item."""
-        for it in self.items:
-            if isinstance(it.size, Resources):
-                expected = f"a scalar to be written to a trace file (item {it.item_id!r})"
-                raise InvalidItemTypeError("size", it.size, expected=expected, item_id=it.item_id)
-
     def to_json(self) -> str:
         """Serialise (times/sizes as floats) to a JSON document; a vector
         size raises :class:`~repro.core.validation.InvalidItemTypeError`."""
-        self._check_scalar_sizes()
+        _check_scalar_sizes(self.items, "to be written to a trace file")
         return json.dumps(
             {
                 "name": self.name,
@@ -123,7 +114,7 @@ class Trace:
     def to_csv(self) -> str:
         """``id,arrival,departure,size,tag`` rows with a header; a vector
         size raises :class:`~repro.core.validation.InvalidItemTypeError`."""
-        self._check_scalar_sizes()
+        _check_scalar_sizes(self.items, "to be written to a trace file")
         lines = ["id,arrival,departure,size,tag"]
         for it in self.items:
             tag = "" if it.tag is None else str(it.tag)

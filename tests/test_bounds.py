@@ -12,19 +12,19 @@ from repro.analysis.bounds import (
     mff_bound_unknown_mu,
     mff_generic_bound,
     mff_optimal_k,
-    theorem1_lower_bound_ratio,
     theorem3_bound,
     theorem4_bound,
     theorem5_bound,
 )
 from repro import FirstFit, simulate
+from repro.adversaries import predicted_anyfit_ratio
 from repro.opt.lower_bounds import opt_total_lower_bound
 from repro.workloads import Uniform, generate_trace
 
 
 class TestFormulas:
     def test_theorem1(self):
-        assert theorem1_lower_bound_ratio(5, 4) == Fraction(20, 8)
+        assert predicted_anyfit_ratio(5, 4) == Fraction(20, 8)
 
     def test_theorem3(self):
         assert theorem3_bound(4) == 4

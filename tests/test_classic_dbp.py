@@ -12,7 +12,7 @@ from repro.analysis.classic_dbp import (
     max_bins_lower_bound,
     max_bins_ratio,
 )
-from repro.core.events import EventKind, compile_events
+from repro.core.events import EventKind, _by_arrival, _merge_events
 from repro.opt.snapshot import l2_lower_bound
 from tests.conftest import exact_items, float_items
 
@@ -95,16 +95,16 @@ def _reference_l2_peak(items, capacity=1):
     """The L2 bound's own event-grouping loop, in the caller's units."""
     active = {}
     best = 0
-    events = compile_events(items)
+    events = list(_merge_events(*_by_arrival(items)))
     i = 0
     while i < len(events):
-        t = events[i].time
-        while i < len(events) and events[i].time == t:
-            ev = events[i]
-            if ev.kind is EventKind.ARRIVAL:
-                active[ev.item.item_id] = ev.item.size
+        t = events[i][0]
+        while i < len(events) and events[i][0] == t:
+            _, kind, _, it = events[i]
+            if kind == EventKind.ARRIVAL:
+                active[it.item_id] = it.size
             else:
-                del active[ev.item.item_id]
+                del active[it.item_id]
             i += 1
         best = max(best, l2_lower_bound(list(active.values()), capacity))
     return best

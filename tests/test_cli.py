@@ -123,6 +123,38 @@ class TestInputErrors:
         self._rejected(capsys, [command, str(trace), *options], message)
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--rate", "0"], "--rate must be positive, got 0.0"),
+            (["generate", "--kind", "poisson", "--rate", "-1"],
+             "--rate must be positive, got -1.0"),
+            (["generate", "--horizon", "-5"], "--horizon must be positive, got -5.0"),
+            (["generate", "--kind", "bursts", "--horizon", "0"],
+             "--horizon must be positive, got 0.0"),
+            (["viz", "{trace}", "--width", "0"], "--width must be at least 4, got 0"),
+            (["viz", "{trace}", "--max-bins", "-1"], "--max-bins must be at least 0, got -1"),
+            (["run", "fleet-mix", "--precision", "-1"],
+             "--precision must be at least 0, got -1"),
+            (["report", "fleet-mix", "--precision", "-1"],
+             "--precision must be at least 0, got -1"),
+            (["chaos", "--items", "0"], "--items must be at least 1, got 0"),
+        ],
+        ids=["rate-0", "poisson-rate-negative", "horizon-negative", "bursts-horizon-0",
+             "viz-width-0", "viz-max-bins-negative", "run-precision-negative",
+             "report-precision-negative", "chaos-items-0"],
+    )
+    def test_out_of_range_number(self, trace, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.json"
+        argv = [arg.format(trace=trace) for arg in argv]
+        if argv[0] == "generate":
+            argv += ["--out", str(out)]
+        self._rejected(capsys, argv, message)
+        assert not out.exists()
+
+    def test_zero_precision_is_accepted(self, capsys):
+        assert main(["run", "fleet-mix", "--precision", "0"]) == 0
+
+    @pytest.mark.parametrize(
         "command, options",
         [
             ("dispatch", []),

@@ -1,7 +1,8 @@
-"""Unit tests for event compilation and ordering."""
+"""Unit tests for the event stream's ordering and a trace's event times."""
 
 from repro import Item
-from repro.core.events import EventKind, compile_events, event_times
+from repro.core.events import EventKind, iter_events
+from repro.opt.snapshot import snapshot_profile
 
 
 def items_():
@@ -13,19 +14,21 @@ def items_():
 
 
 class TestCompileEvents:
+    """The merged event stream of an arrival-ordered trace."""
+
     def test_counts(self):
-        events = compile_events(items_())
+        events = list(iter_events(items_()))
         assert len(events) == 6
         assert sum(1 for e in events if e.kind is EventKind.ARRIVAL) == 3
 
     def test_sorted_by_time(self):
-        events = compile_events(items_())
+        events = list(iter_events(items_()))
         times = [e.time for e in events]
         assert times == sorted(times)
 
     def test_departures_before_arrivals_at_same_time(self):
         # a and b depart at 5; c arrives at 5 — departures first.
-        events = [e for e in compile_events(items_()) if e.time == 5]
+        events = [e for e in iter_events(items_()) if e.time == 5]
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.DEPARTURE, EventKind.DEPARTURE, EventKind.ARRIVAL]
 
@@ -33,12 +36,14 @@ class TestCompileEvents:
         items = [
             Item(arrival=0, departure=1, size=0.1, item_id=f"i{n}") for n in range(5)
         ]
-        arrivals = [e for e in compile_events(items) if e.kind is EventKind.ARRIVAL]
+        arrivals = [e for e in iter_events(items) if e.kind is EventKind.ARRIVAL]
         assert [e.item.item_id for e in arrivals] == [f"i{n}" for n in range(5)]
 
     def test_empty(self):
-        assert compile_events([]) == []
+        assert list(iter_events([])) == []
 
 
 def test_event_times_dedup():
-    assert event_times(items_()) == [0, 2, 5, 7]
+    # The offline sweep breaks at each distinct event time once.
+    times, _ = snapshot_profile(items_())
+    assert times == [0, 2, 5, 7]

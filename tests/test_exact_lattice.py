@@ -9,9 +9,10 @@ same event kernel without scaling: ``_merge_events`` driving a
 the path the adaptive adversaries take.  Every case compares results,
 their number types, and the repacker's counters with it.  The snapshot
 sweeps, which sort a trace themselves, are compared with the kernel's
-event grouping (``compile_events``) in the caller's units, also on
-float, tie-heavy and 2-D traces.  The OPT bracket's demand and pointwise
-sums are compared with the same sums taken in the caller's units.
+event grouping (``_merge_events`` on the trace as ``simulate`` sorts it)
+in the caller's units, also on float, tie-heavy and 2-D traces.  The OPT
+bracket's demand and pointwise sums are compared with the same sums taken
+in the caller's units.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.algorithms import (
     WorstFit,
 )
 from repro.algorithms.base import Arrival
-from repro.core.events import EventKind, EventOrderError, _by_arrival, _merge_events, compile_events
+from repro.core.events import EventKind, EventOrderError, _by_arrival, _merge_events
 from repro.core.item import Item, make_items, validate_items
 from repro.core.metrics import total_demand, trace_stats
 from repro.core.numeric import lattice_scale, quotient, to_lattice
@@ -360,7 +361,7 @@ class TestAdmissionErrors:
         assert str(exc.value) == (
             "item 'b' arrives at 1, before the previous arrival at 2; streamed "
             "items must have non-decreasing arrival times — sort the trace first "
-            "(compile_events and simulate accept any order)"
+            "(simulate accepts any order)"
         )
         assert exc.value.item_id == "b"
 
@@ -427,18 +428,18 @@ class TestAdmissionErrors:
 
 def caller_unit_profile(items: list[Item], capacity: Any, solve: Callable) -> tuple[list, list]:
     """Per-snapshot counts solved on the caller's sizes."""
-    events = compile_events(items)
+    events = list(_merge_events(*_by_arrival(items)))
     active: dict[str, Any] = {}
     times, counts = [], []
     i = 0
     while i < len(events):
-        t = events[i].time
-        while i < len(events) and events[i].time == t:
-            ev = events[i]
-            if ev.kind is EventKind.ARRIVAL:
-                active[ev.item.item_id] = ev.item.size
+        t = events[i][0]
+        while i < len(events) and events[i][0] == t:
+            _, kind, _, it = events[i]
+            if kind == EventKind.ARRIVAL:
+                active[it.item_id] = it.size
             else:
-                del active[ev.item.item_id]
+                del active[it.item_id]
             i += 1
         times.append(t)
         counts.append(solve(list(active.values()), capacity))

@@ -1,4 +1,5 @@
-"""Unit and property tests for repro.core.interval."""
+"""Unit and property tests for repro.core.interval (and the span of
+repro.core.metrics, the measure of an item list's interval union)."""
 
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from repro.core.interval import (
     Interval,
     interval_difference,
     merge_intervals,
-    span,
     union_length,
 )
+from repro.core.item import make_items
+from repro.core.metrics import trace_span
 
 
 class TestInterval:
@@ -60,15 +62,18 @@ class TestMerge:
 class TestSpan:
     def test_figure1_example(self):
         # Three items: two overlapping, one detached — span counts the union.
-        ivs = [(0, 4), (2, 6), (9, 11)]
-        assert span(ivs) == 6 + 2
+        items = make_items([(0, 4, 0.5), (2, 6, 0.5), (9, 11, 0.5)])
+        assert trace_span(items) == 6 + 2
 
     def test_accepts_interval_objects(self):
-        assert span([Interval(0, 1), Interval(5, 6)]) == 2
+        assert union_length([Interval(0, 1), Interval(5, 6)]) == 2
 
     def test_exact_fractions(self):
-        ivs = [(Fraction(0), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 2))]
-        assert span(ivs) == Fraction(1, 2)
+        items = make_items(
+            [(Fraction(0), Fraction(1, 3), 0.5), (Fraction(1, 4), Fraction(1, 2), 0.5)]
+        )
+        assert trace_span(items) == Fraction(1, 2)
+        assert type(trace_span(items)) is Fraction
 
 
 class TestDifference:

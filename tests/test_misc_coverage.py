@@ -17,7 +17,7 @@ from repro import (
 )
 from repro.adversaries import run_theorem1_adversary, run_theorem2_adversary
 from repro.algorithms.base import Arrival, register_algorithm
-from repro.core.events import EventKind, compile_events
+from repro.core.events import EventKind, _by_arrival, _merge_events
 from tests.conftest import exact_items
 
 
@@ -44,11 +44,11 @@ class TestDrivingModeEquivalence:
         simulate() exactly — guards refactors of either path."""
         batch = simulate(items, BestFit())
         sim = Simulator(BestFit())
-        for event in compile_events(items):
-            if event.kind is EventKind.ARRIVAL:
-                sim.arrive(event.item.arrival, event.item.size, item_id=event.item.item_id)
+        for _, kind, _, item in _merge_events(*_by_arrival(items)):
+            if kind == EventKind.ARRIVAL:
+                sim.arrive(item.arrival, item.size, item_id=item.item_id)
             else:
-                sim.depart(event.item.item_id, event.item.departure)
+                sim.depart(item.item_id, item.departure)
         manual = sim.finish()
         assert manual.assignment == batch.assignment
         assert manual.total_cost() == batch.total_cost()

@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from repro import BestFit, FirstFit, LastFit, WorstFit, make_items, simulate
+from repro import (
+    BestFit,
+    FirstFit,
+    InvalidItemTypeError,
+    LastFit,
+    Resources,
+    WorstFit,
+    make_items,
+    simulate,
+)
 from repro.opt.lower_bounds import (
     demand_lower_bound,
     naive_upper_bound,
@@ -15,7 +24,7 @@ from repro.opt.lower_bounds import (
     robust_ceil,
     span_lower_bound,
 )
-from repro.opt.snapshot import opt_total_ffd_upper_bound
+from repro.opt.snapshot import opt_total_ffd_upper_bound, opt_total_l2_lower_bound
 from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 from tests.conftest import exact_items, float_items, scaling_trace
 
@@ -73,6 +82,24 @@ class TestValidation:
     def test_cost_rate_scaling(self):
         items = make_items([(0, 2, 0.5)])
         assert span_lower_bound(items, cost_rate=5) == 10
+
+
+@pytest.mark.parametrize("capacity", [Resources(1, 1), 1], ids=["vector-W", "scalar-W"])
+@pytest.mark.parametrize(
+    "bound",
+    [opt_bracket, pointwise_lower_bound, opt_total_l2_lower_bound],
+    ids=lambda bound: bound.__name__,
+)
+def test_scalar_bounds_name_the_first_vector_item(bound, capacity):
+    items = make_items([(0, 2, Resources(0.5, 0.25)), (1, 3, Resources(0.25, 0.5))])
+    with pytest.raises(InvalidItemTypeError) as exc:
+        bound(items, capacity=capacity)
+    assert exc.value.item_id == "item-0"
+    assert str(exc.value) == (
+        "Item.size must be a scalar for this bound, or use dominance_lower_bound "
+        "(item 'item-0'), got Resources(0.5, 0.25)"
+    )
+    assert isinstance(exc.value, TypeError)
 
 
 # ---------------------------------------------------------------------------

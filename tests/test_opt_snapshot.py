@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import make_items
+from repro import DuplicateItemIdError, Item, make_items
+from repro.analysis.classic_dbp import max_bins_lower_bound
 from repro.opt.lower_bounds import opt_bracket, robust_ceil
 from repro.opt.snapshot import (
     SearchLimitReached,
@@ -89,6 +90,22 @@ class TestSnapshotProfile:
         # exact: [0,1): 2 bins; [1,2): 2 bins; [2,3): 1 bin -> 5.
         assert opt_total_exact(items) == 5
         assert opt_total_ffd_upper_bound(items) >= opt_total_exact(items)
+
+    @pytest.mark.parametrize("size", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+    def test_overlapping_duplicate_ids_raise_a_typed_error(self, size):
+        # A second 'x' arrives at 1 while the first is active until 2.
+        items = [Item(0, 2, size, item_id="x"), Item(1, 4, size / 2, item_id="x")]
+        for sweep in (
+            snapshot_profile,
+            opt_bracket,
+            opt_total_exact,
+            lambda items: max_bins_lower_bound(items, method="l2"),
+        ):
+            with pytest.raises(DuplicateItemIdError, match=r"^duplicate item id: 'x'$"):
+                sweep(items)
+        # An id may rejoin once its item has left.
+        rejoined = [Item(0, 2, size, item_id="x"), Item(2, 4, size / 2, item_id="x")]
+        assert snapshot_profile(rejoined) == ([0, 2, 4], [1, 1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ The determinism contract of :mod:`repro.parallel`, checked end-to-end:
 for **every registered experiment**, running the catalogue sharded across
 2 and 4 workers yields tables, claim checks, exported JSON artifacts and
 the counters ``run --serve-metrics`` serves exactly equal to the serial
-run; the same holds for ``run_sweep`` over a seeded grid.  The serial run
-is also where every claim is checked at the experiments' default
-parameters, and it is what ``docs/REPORT.md`` prints.  CI runs this
-module in the tier-1 job; its ``parallel-smoke`` job byte-diffs a seeded
-artifact on disk.
+run; the same holds for ``run_sweep`` over a grid with a ``seed`` axis.
+The serial run is also where every claim is checked at the experiments'
+default parameters, and it is what ``docs/REPORT.md`` prints.  CI runs
+this module in the tier-1 job; its ``parallel-smoke`` job byte-diffs a
+seeded artifact on disk.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro import FirstFit, simulate
-from repro.analysis.sweep import grid, run_sweep, seeded_points
+from repro.analysis.sweep import grid, run_sweep
 from repro.cli import _count_experiment
 from repro.experiments import available_experiments, run_experiments
 from repro.experiments.io import result_to_dict, results_to_json
 from repro.experiments.report import render_markdown
 from repro.obs import MetricsRegistry
+from repro.parallel import derive_seed, point_key, run_tasks
 from repro.workloads import Clipped, Exponential, Uniform, generate_trace
 
 WORKER_COUNTS = (2, 4)
@@ -144,7 +145,7 @@ def test_experiment_order_is_input_order_not_completion_order(serial_catalogue):
     # A deliberately shuffled batch comes back in the shuffled order —
     # results follow the request, never worker scheduling.
     shuffled = list(reversed(FAST_EXPERIMENTS))
-    parallel = run_experiments(shuffled, parallel=2, chunk_size=1)
+    parallel = run_experiments(shuffled, parallel=2)
     assert [r.name for r in parallel] == shuffled
     by_name = {r.name: r for r in serial}
     for result in parallel:
@@ -174,13 +175,23 @@ def _packing_row(rate, mean_duration, seed):
     }
 
 
-SWEEP_GRID = grid(rate=[0.5, 1.0, 2.0], mean_duration=[5.0, 15.0])
+def _packing_row_of(point):
+    return _packing_row(**point)
+
+
+def seeded_grid(root_seed):
+    """A ``seed`` axis derived per point, as a caller builds one."""
+    points = grid(rate=[0.5, 1.0, 2.0], mean_duration=[5.0, 15.0])
+    return [dict(p, seed=derive_seed(root_seed, point_key(p))) for p in points]
+
+
+SWEEP_GRID = seeded_grid(42)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_run_sweep_seeded_grid_matches_serial(workers):
-    serial = run_sweep(_packing_row, SWEEP_GRID, root_seed=42)
-    parallel = run_sweep(_packing_row, SWEEP_GRID, root_seed=42, workers=workers)
+    serial = run_sweep(_packing_row, SWEEP_GRID)
+    parallel = run_sweep(_packing_row, SWEEP_GRID, workers=workers)
     assert parallel.headers == serial.headers
     assert parallel.rows == serial.rows
     assert parallel == serial
@@ -194,17 +205,18 @@ def test_run_sweep_explicit_seeds_match_serial():
 
 
 def test_derived_seeds_are_scheduling_independent():
-    # The seed column of a parallel sweep equals the derived seeds computed
-    # up front — worker identity and completion order never leak in.
-    expected = [p["seed"] for p in seeded_points(SWEEP_GRID, 42)]
-    parallel = run_sweep(_packing_row, SWEEP_GRID, root_seed=42, workers=4)
+    # The seed column of a parallel sweep equals the seeds derived up
+    # front — worker identity and completion order never leak in.
+    expected = [p["seed"] for p in SWEEP_GRID]
+    parallel = run_sweep(_packing_row, SWEEP_GRID, workers=4)
     assert parallel.column("seed") == expected
 
 
 def test_chunking_is_unobservable_in_sweep_results():
-    serial = run_sweep(_packing_row, SWEEP_GRID, root_seed=7)
+    # A sharded sweep's rows come from the pool, whose chunk size never
+    # shows in them.
+    points = seeded_grid(7)
+    serial = run_sweep(_packing_row, points)
     for chunk_size in (1, 3, 6):
-        parallel = run_sweep(
-            _packing_row, SWEEP_GRID, root_seed=7, workers=2, chunk_size=chunk_size
-        )
-        assert parallel == serial
+        rows = run_tasks(_packing_row_of, points, workers=2, chunk_size=chunk_size)
+        assert [[row[h] for h in serial.headers] for row in rows] == serial.rows

@@ -282,7 +282,7 @@ def test_empty_sweep_is_typed_on_both_paths():
 def test_run_sweep_parallel_failure_carries_grid_point():
     points = grid(x=[0, 1, 2, 3, 4])
     with pytest.raises(ShardExecutionError) as info:
-        run_sweep(_sweep_fail_on_three, points, workers=2, retries=0)
+        run_sweep(_sweep_fail_on_three, points, workers=2)
     (failure,) = info.value.failures
     assert failure.task == {"x": 3}
 

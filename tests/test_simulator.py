@@ -168,10 +168,8 @@ def brute_force_cost(result, times):
 @settings(max_examples=60, deadline=None)
 def test_cost_equals_bin_count_integral_exact(items):
     """total_cost == ∫ A(R,t) dt, exactly, on Fraction traces."""
-    from repro.core.events import event_times
-
     result = simulate(items, FirstFit())
-    times = event_times(items)
+    times = sorted({it.arrival for it in items} | {it.departure for it in items})
     assert result.total_cost() == brute_force_cost(result, times)
 
 
